@@ -44,7 +44,7 @@ using namespace dhpf;
 namespace {
 
 constexpr int64_t Procs = 8;
-const char *Algos[] = {"naive", "ring", "rdbl", "tree"};
+const char *Algos[] = {"naive", "rdbl", "tree"};
 
 struct AlgoRow {
   std::string Algo;

@@ -165,31 +165,6 @@ public:
   }
 };
 
-/// Ring allgather: P-1 rounds, each rank forwarding the contribution it
-/// received the previous round. Uniform load — 2(P-1) scalar frames per
-/// rank — so no rank is the bottleneck the naive root is.
-class RingColl final : public Collective {
-public:
-  const char *name() const override { return "ring"; }
-  double allreduce(net::Transport &T, double Own, Op O, uint64_t Tag,
-                   CollStats &St) override {
-    unsigned NP = T.size(), P = T.rank();
-    if (NP == 1)
-      return combineByRank({Own}, O);
-    unsigned Next = (P + 1) % NP, Prev = (P + NP - 1) % NP;
-    std::vector<double> ByRank(NP);
-    ByRank[P] = Own;
-    for (unsigned K = 1; K != NP; ++K) {
-      // This round moves the contribution that originated K-1 hops back.
-      unsigned SendOf = (P + NP - (K - 1)) % NP;
-      unsigned RecvOf = (P + NP - K) % NP;
-      post8(T, Next, Tag, ByRank[SendOf], St);
-      ByRank[RecvOf] = recv8(T, Prev, Tag, St);
-    }
-    return combineByRank(ByRank, O);
-  }
-};
-
 /// Recursive doubling over the power-of-two core: lg(M) pairwise
 /// exchanges of growing contribution lists; ranks past the largest power
 /// of two fold into (and read back from) their core partner.
@@ -279,8 +254,6 @@ Collective::~Collective() = default;
 Algo coll::parseAlgo(const std::string &Name) {
   if (Name == "naive")
     return Algo::Naive;
-  if (Name == "ring")
-    return Algo::Ring;
   if (Name == "rdbl")
     return Algo::Rdbl;
   if (Name == "tree")
@@ -288,7 +261,7 @@ Algo coll::parseAlgo(const std::string &Name) {
   if (Name == "auto")
     return Algo::Auto;
   throw net::TransportError("DHPF_COLL: unknown collective \"" + Name +
-                            "\" (want naive|ring|rdbl|tree|auto)");
+                            "\" (want naive|rdbl|tree|auto)");
 }
 
 Algo coll::algoFromEnv() {
@@ -310,8 +283,6 @@ const char *coll::algoName(Algo A) {
   switch (A) {
   case Algo::Naive:
     return "naive";
-  case Algo::Ring:
-    return "ring";
   case Algo::Rdbl:
     return "rdbl";
   case Algo::Tree:
@@ -324,8 +295,6 @@ const char *coll::algoName(Algo A) {
 
 std::unique_ptr<Collective> coll::makeCollective(Algo A, unsigned NP) {
   switch (resolveAlgo(A, NP)) {
-  case Algo::Ring:
-    return std::make_unique<RingColl>();
   case Algo::Rdbl:
     return std::make_unique<RdblColl>();
   case Algo::Tree:

@@ -7,8 +7,8 @@
 /// \file
 /// Collective algorithms for the distributed runtime's scalar reductions:
 /// naive gather/broadcast through rank 0 (the historical RankEngine path),
-/// ring allgather, recursive doubling, and a binomial tree, selected by
-/// DHPF_COLL=naive|ring|rdbl|tree|auto.
+/// recursive doubling, and a binomial tree, selected by
+/// DHPF_COLL=naive|rdbl|tree|auto.
 ///
 /// Bit-identicality is the design constraint: every engine (and the paper's
 /// simulated machine) combines reduction contributions *in rank order
@@ -22,7 +22,6 @@
 ///
 ///   max per-rank messages, P ranks, scalar payloads:
 ///     naive  2(P-1)        (rank 0 is the bottleneck)
-///     ring   2(P-1)        (uniform — a bandwidth algorithm)
 ///     rdbl   2·ceil(lg P)  (pairwise exchange, contribution lists)
 ///     tree   2·ceil(lg P)  (binomial gather + binomial broadcast)
 ///
@@ -47,9 +46,9 @@
 namespace dhpf {
 namespace coll {
 
-enum class Algo : uint8_t { Naive, Ring, Rdbl, Tree, Auto };
+enum class Algo : uint8_t { Naive, Rdbl, Tree, Auto };
 
-/// Parses "naive"|"ring"|"rdbl"|"tree"|"auto"; throws net::TransportError
+/// Parses "naive"|"rdbl"|"tree"|"auto"; throws net::TransportError
 /// on anything else (a typo must not silently change the schedule).
 Algo parseAlgo(const std::string &Name);
 

@@ -86,6 +86,11 @@ private:
       throw TransportError(where() + ": socket(): " + errnoStr());
     int One = 1;
     ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
+    // Accepted streams inherit TCP_NODELAY from the listener: without it
+    // Nagle holds each small frame to a higher rank until the previous
+    // one is acknowledged, and delayed ACKs turn that into tens of
+    // milliseconds per exchange.
+    setNoDelay(ListenFd);
     // Bind the wildcard address at the spec'd port: the host column names
     // how *peers* reach this rank, which need not be a local address
     // string (NAT, multiple interfaces).

@@ -6,18 +6,10 @@
 
 #include "rt/RankEngine.h"
 
-#include "cg/Ast.h"
 #include "spmd/ExecPlan.h"
-#include "spmd/KernelABI.h"
-#include "spmd/KernelCache.h"
-#include "spmd/NativeGen.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <limits>
-#include <set>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -34,37 +26,13 @@ constexpr uint64_t FinTag = 1ull << 33;
 ///   u8 kind (1 = contiguous span, 0 = packed)
 ///   u64 count
 ///   kind 1: i64 base, then count raw doubles
-///   kind 0: count i64 flat indices, then count raw doubles
+///   kind 0: count sorted i64 flat indices, then count raw doubles
 constexpr uint8_t KindPacked = 0;
 constexpr uint8_t KindContig = 1;
 
-void putU64(std::vector<uint8_t> &B, uint64_t V) {
-  uint8_t Tmp[8];
-  std::memcpy(Tmp, &V, 8);
-  B.insert(B.end(), Tmp, Tmp + 8);
-}
-
-uint64_t bitsOf(double D) {
-  uint64_t V;
-  std::memcpy(&V, &D, 8);
-  return V;
-}
-
-double doubleOf(uint64_t V) {
-  double D;
-  std::memcpy(&D, &V, 8);
-  return D;
-}
-
-/// Numbers Compute nodes in preorder — the exact order buildExecPlan
-/// assigns PlanNode::NativeComputeId, so the i-th Compute SpmdNode here
-/// dispatches into compute kernel i.
-void numberComputes(const SpmdNode &N, int32_t &Next,
-                    std::map<const SpmdNode *, int32_t> &Ids) {
-  if (N.K == SpmdNode::Kind::Compute)
-    Ids[&N] = Next++;
-  for (const auto &C : N.Children)
-    numberComputes(*C, Next, Ids);
+uint8_t *putU64(uint8_t *B, uint64_t V) {
+  std::memcpy(B, &V, 8);
+  return B + 8;
 }
 
 } // namespace
@@ -88,139 +56,26 @@ RankEngine::RankEngine(const SpmdProgram &ProgIn, RankConfig ConfigIn,
   Env = initialEnv(Prog, Layout, Config.Rank);
   EventInPlace =
       resolveEventInPlace(Prog, Layout, Result.InPlaceRuntimeUpgrades);
+  // The same inputs the in-process engines lower from, so the plan — and
+  // its kernel-cache entry — is shared with the driver and every rank.
+  Plan = std::make_unique<LoadedPlan>(
+      Prog,
+      PlanBuildInputs{&Arrays, &Layout.AllBindings, &Layout.ProcShape,
+                      &EventInPlace},
+      Config.Run.Machine.SecPerWork);
+  // A rank always runs the lowered plan: tree resolves to bytecode here.
   if (Interpreter::resolveEngine(Config.Run.Engine) == EngineKind::Native)
-    setupNative();
+    Plan->setupNative(Config.Trace,
+                      "rank " + std::to_string(Config.Rank) + ": ");
+  Core = std::make_unique<RankCore>(*Plan, Config.Rank, Layout.NumProcs, Env,
+                                    Accums, Config.Run.CheckValidity, &Clock);
+  Core->pumpEvery(Config.ProgressEveryStmts, [this] {
+    ++ProgressCalls;
+    T.progress();
+  });
 }
 
 RankEngine::~RankEngine() = default;
-
-/// Native compute-kernel state for one rank: the loaded kernel table plus
-/// one DhpfCtx. Kernels call back through the static trampolines; Ctx
-/// keeps the C context as its first member so a DhpfCtx* converts back to
-/// the full record.
-struct RankEngine::NativeState {
-  const native::Kernel *Kern = nullptr;
-  const DhpfKernelTable *T = nullptr;
-
-  std::vector<std::string> ArrayNames; // plan array id -> name
-  std::vector<ArrayStore *> Stores;    // plan array id -> store
-  std::vector<double *> Data;
-  std::vector<const int32_t *> Owner;
-  std::vector<int64_t> Size;
-  std::vector<double> LeafCostSec;
-  std::vector<double> ReadBuf;   // kernel-facing, MaxReads wide
-  std::vector<double> StmtReads; // StmtFn-facing copy
-  /// A real rank has no simulated machine; the kernel's clock writes land
-  /// here and are discarded.
-  double DummyClock = 0;
-
-  struct Ctx {
-    DhpfCtx C = {}; // must stay first (standard-layout cast target)
-    RankEngine *RE = nullptr;
-  };
-  Ctx X;
-
-  static Ctx *of(DhpfCtx *C) { return reinterpret_cast<Ctx *>(C); }
-
-  static double readSlow(DhpfCtx *C, int32_t A, int64_t F) {
-    RankEngine *RE = of(C)->RE;
-    NativeState &NS = *RE->Native;
-    return RE->readElem(*NS.Stores[A], NS.ArrayNames[A], F);
-  }
-  static void writeSlow(DhpfCtx *C, int32_t A, int64_t F, double V) {
-    RankEngine *RE = of(C)->RE;
-    NativeState &NS = *RE->Native;
-    RE->writeElem(*NS.Stores[A], NS.ArrayNames[A], F, V);
-  }
-  static double stmt(DhpfCtx *C, int32_t Leaf, int32_t N) {
-    return of(C)->RE->nativeStmt(Leaf, N, C->Reads);
-  }
-  static void progress(DhpfCtx *C) {
-    // The Figure 4 overlap window, exactly as the tree walk pumps it.
-    RankEngine *RE = of(C)->RE;
-    ++RE->ProgressCalls;
-    RE->T.progress();
-  }
-  static void growPairs(DhpfCtx *) {} // event kernels never run on a rank
-};
-
-double RankEngine::nativeStmt(int32_t Leaf, int32_t N, const double *Reads) {
-  NativeState &NS = *Native;
-  NS.StmtReads.assign(Reads, Reads + N);
-  const CompiledStmt &S = Prog.Stmts[Leaf];
-  auto SemIt = Semantics.find(S.SemanticsId);
-  assert(SemIt != Semantics.end() && "statement without semantics");
-  return SemIt->second(NS.StmtReads, Env, Accums);
-}
-
-void RankEngine::setupNative() {
-  PlanBuildInputs In;
-  In.Arrays = &Arrays;
-  In.AllBindings = &Layout.AllBindings;
-  In.ProcShape = &Layout.ProcShape;
-  In.EventInPlace = &EventInPlace;
-  PlanBuild B = buildExecPlan(Prog, In);
-
-  native::PlanSource Src;
-  {
-    obs::TraceSpan Span(Config.Trace, "native:emit", "spmd.native");
-    Src = native::emitPlanSource(B.Plan);
-  }
-  std::string Err;
-  const native::Kernel *K = native::KernelCache::global().get(Src, &Err);
-  if (!K) {
-    std::fprintf(stderr,
-                 "dhpf: rank %u: native engine unavailable, falling back "
-                 "to tree execution: %s\n",
-                 Config.Rank, Err.c_str());
-    obs::MetricsRegistry::global().counter("spmd.native.fallbacks")->inc();
-    return;
-  }
-
-  int32_t Next = 0;
-  numberComputes(*Prog.Root, Next, ComputeIds);
-
-  auto NS = std::make_unique<NativeState>();
-  NS->Kern = K;
-  NS->T = K->Table;
-  NS->ArrayNames = B.Plan.ArrayNames;
-  NS->Stores = std::move(B.Stores);
-  for (ArrayStore *A : NS->Stores) {
-    NS->Data.push_back(A->data());
-    NS->Owner.push_back(A->Owner.empty() ? nullptr : A->Owner.data());
-    NS->Size.push_back(static_cast<int64_t>(A->size()));
-  }
-  const double SPW = Config.Run.Machine.SecPerWork;
-  for (const StmtPlan &SP : B.Plan.Stmts)
-    NS->LeafCostSec.push_back(SP.Cost * SPW);
-  NS->ReadBuf.assign(Src.MaxReads ? Src.MaxReads : 1, 0.0);
-
-  NativeState::Ctx &X = NS->X;
-  X.RE = this;
-  DhpfCtx &C = X.C;
-  C.Host = &X;
-  C.Me = static_cast<int32_t>(Config.Rank);
-  C.NumArrays = static_cast<int32_t>(NS->Stores.size());
-  C.Data = NS->Data.data();
-  C.Owner = NS->Owner.data();
-  C.Size = NS->Size.data();
-  C.Reads = NS->ReadBuf.data();
-  C.LeafCostSec = NS->LeafCostSec.data();
-  C.Clock = &NS->DummyClock;
-  C.Stmts = &Result.StmtInstances;
-  C.ProgressCtr = 0; // seeded from StmtsSinceProgress per dispatch
-  C.ProgressEvery = Config.ProgressEveryStmts;
-  C.ReadSlow = &NativeState::readSlow;
-  C.WriteSlow = &NativeState::writeSlow;
-  C.Stmt = &NativeState::stmt;
-  C.Progress = &NativeState::progress;
-  C.PairQ = nullptr;
-  C.PairF = nullptr;
-  C.NumPairs = 0;
-  C.CapPairs = 0;
-  C.GrowPairs = &NativeState::growPairs;
-  Native = std::move(NS);
-}
 
 void RankEngine::setSemantics(int Id, StmtFn Fn) {
   Semantics[Id] = std::move(Fn);
@@ -257,278 +112,111 @@ void RankEngine::violation(const std::string &Msg) {
     Result.Violations.push_back(Msg);
 }
 
-double RankEngine::readElem(ArrayStore &A, const std::string &Array,
-                            int64_t Flat) {
-  unsigned P = Config.Rank;
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
-      A.Owner[Flat] < 0)
-    return A.at(Flat);
-  auto &Ov = Overlay[Array];
-  auto It = Ov.find(Flat);
-  if (It != Ov.end())
-    return It->second;
-  auto &Pd = Pending[Array];
-  auto It2 = Pd.find(Flat);
-  if (It2 != Pd.end())
-    return It2->second;
-  if (Config.Run.CheckValidity)
-    violation("proc " + std::to_string(P) + " read unreceived element " +
-              std::to_string(Flat) + " of " + Array);
-  return A.at(Flat);
+void RankEngine::drain() {
+  Result.StmtInstances +=
+      Core->drain([&](const std::string &M) { violation(M); });
 }
 
-void RankEngine::writeElem(ArrayStore &A, const std::string &Array,
-                           int64_t Flat, double V) {
-  unsigned P = Config.Rank;
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
-      A.Owner[Flat] < 0) {
-    A.at(Flat) = V;
-    return;
-  }
-  Pending[Array][Flat] = V;
-}
-
-void RankEngine::execCompute(const SpmdNode &N) {
+void RankEngine::execCompute(const PlanNode &N) {
   obs::TraceSpan Span(Config.Trace, "compute:" + N.NestName, "rt.exec");
-  if (Native && Native->T) {
-    auto It = ComputeIds.find(&N);
-    assert(It != ComputeIds.end() && "compute node missing a kernel id");
-    const DhpfComputeFn Fn = Native->T->Compute[It->second];
-    DhpfCtx &C = Native->X.C;
-    // Carry the progress-pump phase across nodes: the kernel continues the
-    // statement count exactly where the previous node left it, so pump
-    // timing matches the tree walk instance for instance.
-    C.ProgressCtr = StmtsSinceProgress;
-    Fn(&C, Env.data());
-    StmtsSinceProgress = C.ProgressCtr;
-    return;
-  }
-  std::vector<int64_t> WIdx;
-  std::vector<double> Reads;
-  cg::execute(*N.Loops, Env, [&](int Leaf, const std::vector<int64_t> &E) {
-    const CompiledStmt &S = Prog.Stmts[Leaf];
-    Reads.clear();
-    for (const CompiledStmt::Read &Rd : S.Reads) {
-      ArrayStore &RA = Arrays.at(Rd.Array);
-      std::vector<int64_t> Idx;
-      for (const cg::Expr &Sub : Rd.Subs)
-        Idx.push_back(Sub.eval(E));
-      Reads.push_back(readElem(RA, Rd.Array, RA.flatten(Idx)));
-    }
-    auto SemIt = Semantics.find(S.SemanticsId);
-    assert(SemIt != Semantics.end() && "statement without semantics");
-    double V = SemIt->second(Reads, E, Accums);
-    WIdx.clear();
-    for (const cg::Expr &Sub : S.WriteSubs)
-      WIdx.push_back(Sub.eval(E));
-    ArrayStore &WA = Arrays.at(S.WriteArray);
-    writeElem(WA, S.WriteArray, WA.flatten(WIdx), V);
-    ++Result.StmtInstances;
-    // The Figure 4 overlap window: drive posted sends forward while this
-    // rank computes its local iterations.
-    if (++StmtsSinceProgress >= Config.ProgressEveryStmts) {
-      StmtsSinceProgress = 0;
-      ++ProgressCalls;
-      T.progress();
-    }
-  });
+  Core->compute(N);
+  drain();
 }
 
-void RankEngine::execSend(const SpmdNode &N) {
-  const CommEvent &Ev = Prog.Events[N.EventId];
-  ArrayStore &A = Arrays.at(Ev.Array);
-  unsigned P = Config.Rank;
-  auto &Pd = Pending[Ev.Array];
-  // Identical enumeration to the in-process engines: ordered per-partner
-  // element lists, deduplicated (union conjuncts in the comm sets may
-  // overlap).
-  std::vector<unsigned> PartnerOrder;
-  std::map<unsigned, std::vector<std::pair<int64_t, double>>> Msgs;
-  std::map<unsigned, std::set<int64_t>> Seen;
-  std::map<unsigned, bool> NonLocal;
-  cg::execute(*Ev.SendLoops, Env, [&](int, const std::vector<int64_t> &E) {
-    std::vector<int64_t> PT, Idx;
-    for (unsigned S : Ev.PartnerSlots)
-      PT.push_back(E[S]);
-    for (unsigned S : Ev.ElemSlots)
-      Idx.push_back(E[S]);
-    if (!vpIsReal(Prog, Layout.ProcShape, Layout.AllBindings, PT))
-      return; // fictitious virtual processor
-    unsigned Q = vpPartnerRank(Prog, Layout.ProcShape, Layout.AllBindings, PT);
-    if (Q == P)
-      return; // VP neighbours on the same physical processor
-    int64_t Flat = A.flatten(Idx);
-    if (!Seen[Q].insert(Flat).second)
-      return;
-    if (Msgs.find(Q) == Msgs.end())
-      PartnerOrder.push_back(Q);
-    double V;
-    if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
-        A.Owner[Flat] < 0) {
-      V = A.at(Flat); // forwarding data I own (read comm)
-    } else {
-      NonLocal[Q] = true;
-      auto It = Pd.find(Flat);
-      if (It == Pd.end()) {
-        violation("proc " + std::to_string(P) +
-                  " sends unwritten non-local element of " + Ev.Array);
-        V = A.at(Flat);
-      } else {
-        V = It->second; // transmitting a non-local write
-      }
-    }
-    Msgs[Q].push_back({Flat, V});
-  });
-
-  for (unsigned Q : PartnerOrder) {
-    std::vector<std::pair<int64_t, double>> &Items = Msgs[Q];
+void RankEngine::execSend(const PlanNode &N) {
+  const EventPlan &EP = Plan->plan().Events[N.EventId];
+  ArrayStore &A = Plan->store(EP.Array);
+  const uint64_t Tag = static_cast<uint64_t>(EP.Id);
+  for (const RankCore::PartnerList &PL : Core->lists(EP, /*RecvSide=*/false)) {
+    const std::vector<int64_t> &Fl = *PL.Flats;
+    const uint64_t Bytes = Fl.size() * EP.ElemBytes;
     // Exactly one "send" span per counted message (++Result.Messages
     // below) — the trace/counter cross-check in the tests relies on it.
     obs::TraceSpan SendSpan(Config.Trace, "send", "rt.comm",
-                            "\"dst\": " + std::to_string(Q) +
-                                ", \"event\": " + std::to_string(Ev.Id) +
-                                ", \"bytes\": " +
-                                std::to_string(Items.size() * A.elemBytes()));
-    std::sort(Items.begin(), Items.end()); // canonical flat order
-    const std::set<int64_t> &Fl = Seen[Q];
-    int64_t Base = *Fl.begin();
-    bool Contig =
-        *Fl.rbegin() - Base + 1 == static_cast<int64_t>(Fl.size());
-    bool Span = Contig && !NonLocal[Q];
-    if (Span)
-      ++Result.SpanCopies;
-    else
-      ++Result.PackedCopies;
-
-    uint64_t Tag = static_cast<uint64_t>(Ev.Id);
-    if (Span) {
+                            "\"dst\": " + std::to_string(PL.Q) +
+                                ", \"event\": " + std::to_string(EP.Id) +
+                                ", \"bytes\": " + std::to_string(Bytes));
+    uint8_t Meta[17];
+    Meta[0] = PL.Contig ? KindContig : KindPacked;
+    uint8_t *End = putU64(Meta + 1, Fl.size());
+    if (PL.Contig)
+      End = putU64(End, static_cast<uint64_t>(PL.Base));
+    net::ByteSpan Parts[3];
+    unsigned NParts = 0;
+    Parts[NParts++] = {Meta, static_cast<size_t>(End - Meta)};
+    if (RankCore::isSpan(PL)) {
       // The Section 3.3 shape: a contiguous run of locally-owned storage.
       // Post the data bytes straight from the array — zero copy.
-      std::vector<uint8_t> Meta;
-      Meta.push_back(KindContig);
-      putU64(Meta, Items.size());
-      putU64(Meta, static_cast<uint64_t>(Base));
-      net::ByteSpan Parts[2] = {
-          {Meta.data(), Meta.size()},
-          {A.data() + Base, Items.size() * sizeof(double)}};
-      T.post(Q, Tag, Parts, 2);
+      ++Result.SpanCopies;
+      Parts[NParts++] = {A.data() + PL.Base, Fl.size() * sizeof(double)};
     } else {
-      std::vector<uint8_t> Buf;
-      Buf.reserve(1 + 8 + Items.size() * 16);
-      Buf.push_back(Contig ? KindContig : KindPacked);
-      putU64(Buf, Items.size());
-      if (Contig) {
-        putU64(Buf, static_cast<uint64_t>(Base));
-      } else {
-        for (const auto &[F, V] : Items)
-          putU64(Buf, static_cast<uint64_t>(F));
-      }
-      for (const auto &[F, V] : Items)
-        putU64(Buf, bitsOf(V));
-      net::ByteSpan S{Buf.data(), Buf.size()};
-      T.post(Q, Tag, &S, 1);
+      ++Result.PackedCopies;
+      Vals.resize(Fl.size());
+      Core->pack(EP, PL, Vals.data());
+      if (!PL.Contig)
+        Parts[NParts++] = {Fl.data(), Fl.size() * sizeof(int64_t)};
+      Parts[NParts++] = {Vals.data(), Vals.size() * sizeof(double)};
     }
+    T.post(PL.Q, Tag, Parts, NParts);
     // Logical counters match the simulated machine: the sender counts the
     // message and its payload bytes; wire framing is tracked separately.
     ++Result.Messages;
-    Result.Bytes += Items.size() * A.elemBytes();
+    Result.Bytes += Bytes;
   }
+  drain();
 }
 
-void RankEngine::execRecv(const SpmdNode &N) {
-  const CommEvent &Ev = Prog.Events[N.EventId];
-  ArrayStore &A = Arrays.at(Ev.Array);
+void RankEngine::execRecv(const PlanNode &N) {
+  const EventPlan &EP = Plan->plan().Events[N.EventId];
   unsigned P = Config.Rank;
-  auto &Ov = Overlay[Ev.Array];
-  std::vector<unsigned> PartnerOrder;
-  std::map<unsigned, std::vector<int64_t>> Expect;
-  std::map<unsigned, std::set<int64_t>> Seen;
-  cg::execute(*Ev.RecvLoops, Env, [&](int, const std::vector<int64_t> &E) {
-    std::vector<int64_t> PT, Idx;
-    for (unsigned S : Ev.PartnerSlots)
-      PT.push_back(E[S]);
-    for (unsigned S : Ev.ElemSlots)
-      Idx.push_back(E[S]);
-    if (!vpIsReal(Prog, Layout.ProcShape, Layout.AllBindings, PT))
-      return;
-    unsigned Q = vpPartnerRank(Prog, Layout.ProcShape, Layout.AllBindings, PT);
-    if (Q == P)
-      return;
-    int64_t Flat = A.flatten(Idx);
-    if (!Seen[Q].insert(Flat).second)
-      return;
-    if (Expect.find(Q) == Expect.end())
-      PartnerOrder.push_back(Q);
-    Expect[Q].push_back(Flat);
-  });
-
-  for (unsigned Q : PartnerOrder) {
-    std::vector<int64_t> &Flats = Expect[Q];
+  for (const RankCore::PartnerList &PL : Core->lists(EP, /*RecvSide=*/true)) {
     obs::TraceSpan Span(Config.Trace, "recv", "rt.comm",
-                        "\"src\": " + std::to_string(Q) +
-                            ", \"event\": " + std::to_string(Ev.Id));
-    std::vector<uint8_t> Pay = T.recv(Q, static_cast<uint64_t>(Ev.Id));
+                        "\"src\": " + std::to_string(PL.Q) +
+                            ", \"event\": " + std::to_string(EP.Id));
+    std::vector<uint8_t> Pay = T.recv(PL.Q, static_cast<uint64_t>(EP.Id));
 
     // Decode; a malformed payload passed the checksum, so it is a sender
     // logic error, not line noise.
     auto Malformed = [&]() -> net::TransportError {
       return net::TransportError("rank " + std::to_string(P) +
                                  ": malformed payload from rank " +
-                                 std::to_string(Q) + " for event " +
-                                 std::to_string(Ev.Id));
+                                 std::to_string(PL.Q) + " for event " +
+                                 std::to_string(EP.Id));
     };
     if (Pay.size() < 9)
       throw Malformed();
     uint8_t Kind = Pay[0];
     uint64_t Count;
     std::memcpy(&Count, Pay.data() + 1, 8);
+    if (Count > Pay.size() / 8) // also keeps Need below from wrapping
+      throw Malformed();
     size_t Need = Kind == KindContig ? 9 + 8 + Count * 8 : 9 + Count * 16;
     if ((Kind != KindContig && Kind != KindPacked) || Pay.size() != Need)
       throw Malformed();
-    std::unordered_map<int64_t, double> Got;
-    Got.reserve(Count);
+    RankCore::PayloadView View;
+    View.Count = Count;
+    const uint8_t *V = Pay.data() + 9;
     if (Kind == KindContig) {
       uint64_t BaseU;
-      std::memcpy(&BaseU, Pay.data() + 9, 8);
-      int64_t Base = static_cast<int64_t>(BaseU);
-      const uint8_t *V = Pay.data() + 17;
-      for (uint64_t I = 0; I != Count; ++I, V += 8) {
-        uint64_t Bits;
-        std::memcpy(&Bits, V, 8);
-        Got.emplace(Base + static_cast<int64_t>(I), doubleOf(Bits));
-      }
+      std::memcpy(&BaseU, V, 8);
+      View.Base = static_cast<int64_t>(BaseU);
+      V += 8;
     } else {
-      const uint8_t *F = Pay.data() + 9;
-      const uint8_t *V = Pay.data() + 9 + Count * 8;
-      for (uint64_t I = 0; I != Count; ++I, F += 8, V += 8) {
-        uint64_t Flat, Bits;
-        std::memcpy(&Flat, F, 8);
-        std::memcpy(&Bits, V, 8);
-        Got.emplace(static_cast<int64_t>(Flat), doubleOf(Bits));
-      }
+      Flats.resize(Count);
+      std::memcpy(Flats.data(), V, Count * 8);
+      View.Flats = Flats.data();
+      V += Count * 8;
     }
-
-    // Validation identical to the in-process engines.
-    if (Got.size() != Flats.size())
-      violation("message size mismatch for event " + std::to_string(Ev.Id) +
-                " (" + std::to_string(Got.size()) + " sent vs " +
-                std::to_string(Flats.size()) + " expected)");
-    for (int64_t F : Flats) {
-      auto It = Got.find(F);
-      if (It == Got.end()) {
-        violation("expected element missing from message (event " +
-                  std::to_string(Ev.Id) + ")");
-        continue;
-      }
-      if (!A.Owner.empty() && A.Owner[F] == static_cast<int32_t>(P))
-        A.at(F) = It->second; // a remote write reaching its owner
-      else
-        Ov[F] = It->second;
-    }
+    Vals.resize(Count);
+    std::memcpy(Vals.data(), V, Count * 8);
+    View.Vals = Vals.data();
+    // Validation and apply are the in-process executor's.
+    Core->unpack(EP, PL, View);
   }
+  drain();
 }
 
-void RankEngine::execReduce(const SpmdNode &N) {
+void RankEngine::execReduce(const PlanNode &N) {
   obs::TraceSpan Span(Config.Trace, "reduce:" + N.RedName, "rt.comm");
   unsigned NP = Layout.NumProcs;
   uint64_t Tag = ReduceTagBase + ReduceSeq++;
@@ -554,18 +242,18 @@ void RankEngine::execReduce(const SpmdNode &N) {
   }
 }
 
-void RankEngine::execNode(const SpmdNode &N) {
+void RankEngine::execNode(const PlanNode &N) {
   switch (N.K) {
   case SpmdNode::Kind::Seq:
-    for (const auto &C : N.Children)
-      execNode(*C);
+    for (const PlanNode &C : N.Children)
+      execNode(C);
     break;
   case SpmdNode::Kind::TimeLoop: {
-    int64_t Lo = N.SeqLo.eval(Env), Hi = N.SeqHi.eval(Env);
+    int64_t Lo = Core->eval(N.SeqLo), Hi = Core->eval(N.SeqHi);
     for (int64_t V = Lo; V <= Hi; ++V) {
       Env[N.SeqSlot] = V;
-      for (const auto &C : N.Children)
-        execNode(*C);
+      for (const PlanNode &C : N.Children)
+        execNode(C);
     }
     break;
   }
@@ -609,9 +297,11 @@ void RankEngine::finish() {
 
 RunResult RankEngine::run() {
   auto Start = std::chrono::steady_clock::now();
+  Plan->bindSemantics(Semantics);
   {
     obs::TraceSpan Span(Config.Trace, "rank:run", "rt");
-    execNode(*Prog.Root);
+    if (Prog.Root)
+      execNode(Plan->plan().Root);
   }
   {
     obs::TraceSpan Span(Config.Trace, "rank:finish", "rt");

@@ -5,28 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes ONE rank of a compiled SPMD program in its own address space,
-/// mapping the compiler's send/recv events onto net::Transport operations —
-/// the node program the paper actually generates for a distributed-memory
-/// machine. The engine mirrors the in-process Interpreter decision for
-/// decision (same layout resolution, same per-partner enumeration and
-/// deduplication, same ownership checks, same reduction combine order), so
-/// P cooperating RankEngines produce results bit-identical to the
-/// in-process engines running all P ranks in one address space.
+/// Executes ONE rank of a compiled SPMD program in its own address space —
+/// the node program the paper generates for a distributed-memory machine.
+/// The rank lowers the program to the same plan the in-process executor
+/// runs (spmd/ExecPlan.h) and drives one spmd::RankCore over it, so every
+/// execution decision — element access, per-partner enumeration and
+/// deduplication, ownership checks, payload pack and apply, compute through
+/// the native kernel or the bytecode walk, validity diagnostics — is the
+/// in-process executor's, and P cooperating RankEngines produce results
+/// bit-identical to the in-process engines running all P ranks in one
+/// address space. What only a real rank has lives here: the
+/// net::Transport, the wire encoding of a payload, reduction collectives,
+/// the FIN shutdown barrier, and the rank's counters.
 ///
 /// Communication follows the Figure 4 discipline: a Send node posts every
 /// message nonblocking and returns; the following Compute node (the
-/// localIters loop) pumps the transport's progress engine between
-/// statement instances, so posted bytes drain while computation proceeds.
-/// A message whose deduplicated element set is a contiguous span of
-/// locally-owned storage — the shape the Section 3.3 analysis proves, plus
-/// the injected runtime checks — is posted zero-copy straight from array
-/// storage.
+/// localIters loop) pumps the transport's progress engine every
+/// RankConfig::ProgressEveryStmts statement instances, so posted bytes
+/// drain while computation proceeds. A message whose deduplicated element
+/// set is a contiguous span of locally-owned storage — the shape the
+/// Section 3.3 analysis proves, plus the injected runtime checks — is
+/// posted zero-copy straight from array storage.
 ///
 /// Reductions route through the src/coll collective library
-/// (DHPF_COLL=naive|ring|rdbl|tree|auto): every schedule moves the raw
-/// per-rank contributions and combines them locally in rank order 0..P-1
-/// (the in-process combine order), so double rounding is bit-identical
+/// (DHPF_COLL=naive|rdbl|tree|auto): every schedule moves the raw per-rank
+/// contributions and combines them locally in rank order 0..P-1 (the
+/// in-process combine order), so double rounding is bit-identical
 /// regardless of the algorithm; only the physical CollMessages/CollBytes
 /// counters differ.
 ///
@@ -45,10 +49,14 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dhpf {
+namespace spmd {
+class LoadedPlan;
+class RankCore;
+struct PlanNode;
+} // namespace spmd
 namespace rt {
 
 struct RankConfig {
@@ -100,49 +108,34 @@ private:
   std::map<int, spmd::StmtFn> Semantics;
   std::vector<int64_t> Env; ///< this rank's variable environment
   spmd::AccumMap Accums;
-  std::map<std::string, std::unordered_map<int64_t, double>> Overlay;
-  std::map<std::string, std::unordered_map<int64_t, double>> Pending;
   std::vector<char> EventInPlace;
+  /// A real rank has no simulated machine; the core's clock bumps land
+  /// here and are discarded.
+  double Clock = 0;
+  std::unique_ptr<spmd::LoadedPlan> Plan;
+  std::unique_ptr<spmd::RankCore> Core;
   uint64_t ReduceSeq = 0;  ///< reduce instance counter (tag sync)
   /// The reduction schedule (DHPF_COLL; auto resolves per mesh size).
   /// Every algorithm combines in canonical rank order, so the choice
   /// changes only CollMessages/CollBytes, never result bits.
   std::unique_ptr<coll::Collective> Coll;
   coll::CollStats CollSt;
-  uint64_t StmtsSinceProgress = 0;
   uint64_t ProgressCalls = 0; ///< flushed to rt.comm.progress_calls
+  std::vector<double> Vals;    ///< packed / decoded payload values
+  std::vector<int64_t> Flats;  ///< decoded payload flat indices
 
   spmd::RunResult Result;
 
-  /// Native-engine state: compiled compute kernels dispatched from
-  /// execCompute. Communication stays on the tree paths — message values
-  /// are captured at enumeration time from rank-local stores, so only the
-  /// statement loops are hot enough to compile. The plan is built from the
-  /// same inputs the in-process engines use, so its kernel source (and the
-  /// fingerprint-keyed cache entry) is shared with the driver and with
-  /// every other rank of the launch. Null when the engine is tree or the
-  /// native setup fell back.
-  struct NativeState;
-  std::unique_ptr<NativeState> Native;
-  /// Compute SpmdNode -> kernel index, in lowering's preorder assignment
-  /// order (see PlanNode::NativeComputeId).
-  std::map<const spmd::SpmdNode *, int32_t> ComputeIds;
-  void setupNative();
-  /// Statement-semantics trampoline target for native kernels.
-  double nativeStmt(int32_t Leaf, int32_t N, const double *Reads);
-
-  void execNode(const spmd::SpmdNode &N);
-  void execCompute(const spmd::SpmdNode &N);
-  void execSend(const spmd::SpmdNode &N);
-  void execRecv(const spmd::SpmdNode &N);
-  void execReduce(const spmd::SpmdNode &N);
+  void execNode(const spmd::PlanNode &N);
+  void execCompute(const spmd::PlanNode &N);
+  void execSend(const spmd::PlanNode &N);
+  void execRecv(const spmd::PlanNode &N);
+  void execReduce(const spmd::PlanNode &N);
   void finish(); ///< flush, FIN barrier, leftover-message check
 
   void violation(const std::string &Msg);
-  double readElem(spmd::ArrayStore &A, const std::string &Array,
-                  int64_t Flat);
-  void writeElem(spmd::ArrayStore &A, const std::string &Array,
-                 int64_t Flat, double V);
+  /// Moves the core's buffered violations and statement count into Result.
+  void drain();
 };
 
 } // namespace rt

@@ -9,6 +9,7 @@
 #include "hpf/HpfPrinter.h"
 #include "placement/Placement.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -56,9 +57,32 @@ void Session::setup(const spmd::SpmdProgram &SP,
   }
 }
 
+bool rt::checkParams(const spmd::SpmdProgram &SP,
+                     const std::map<std::string, int64_t> &Params,
+                     std::string &Err) {
+  static const std::vector<std::string> None;
+  const std::vector<std::string> &Known =
+      SP.Source ? SP.Source->params() : None;
+  for (const auto &KV : Params) {
+    if (std::find(Known.begin(), Known.end(), KV.first) != Known.end())
+      continue;
+    Err = "unknown parameter '" + KV.first + "' for program '" +
+          (SP.Source ? SP.Source->name() : std::string("<unknown>")) + "' (";
+    if (Known.empty())
+      Err += "it declares no parameters";
+    for (size_t I = 0; I != Known.size(); ++I)
+      Err += (I ? ", " : "declared: ") + Known[I];
+    Err += ")";
+    return false;
+  }
+  return true;
+}
+
 std::optional<Session> rt::resolveSession(const spmd::SpmdProgram &SP,
                                           const SessionOptions &Opts,
                                           std::string &Err) {
+  if (!checkParams(SP, Opts.Params, Err))
+    return std::nullopt;
   Session S;
   S.ProgName = SP.Source ? SP.Source->name() : "<unknown>";
   S.Config.Params = Opts.Params;

@@ -55,8 +55,15 @@ struct Session {
   void setup(const spmd::SpmdProgram &SP, spmd::ProgramHost &H) const;
 };
 
+/// Checks that every name in \p Params is a declared parameter of \p SP.
+/// On failure \p Err names the first unknown parameter.
+bool checkParams(const spmd::SpmdProgram &SP,
+                 const std::map<std::string, int64_t> &Params,
+                 std::string &Err);
+
 /// Resolves shape + semantics for \p SP. Returns std::nullopt and fills
-/// \p Err when the processor count cannot be mapped onto the grid.
+/// \p Err when a parameter is unknown or the processor count cannot be
+/// mapped onto the grid.
 std::optional<Session> resolveSession(const spmd::SpmdProgram &SP,
                                       const SessionOptions &Opts,
                                       std::string &Err);

@@ -15,8 +15,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <limits>
 #include <set>
+#include <utility>
 
 using namespace dhpf;
 using namespace dhpf::spmd;
@@ -87,10 +89,9 @@ bool atomHolds(int64_t V, cg::GuardAtom::Kind K, int64_t Mod) {
 
 namespace {
 
-/// Lowers one SpmdProgram into a PlanBuild. Stateless beyond the output;
-/// extracted from PlanExecutor so rt::RankEngine builds the identical plan
-/// (and therefore the identical native kernel source) from its own
-/// bindings.
+/// Lowers one SpmdProgram into a PlanBuild. Stateless beyond the output,
+/// so every process of a launch builds the identical plan (and therefore
+/// the identical native kernel source) from its own bindings.
 class PlanLowering {
 public:
   PlanLowering(const SpmdProgram &Prog, const PlanBuildInputs &In,
@@ -261,6 +262,7 @@ PlanNode PlanLowering::lowerNode(const SpmdNode &N,
     break;
   case SpmdNode::Kind::Compute: {
     P.NativeComputeId = NextComputeId++;
+    P.NestName = N.NestName;
     if (!N.Loops)
       break;
     lowerInto(P.Loops, *N.Loops, Fixed);
@@ -411,169 +413,14 @@ PlanBuild spmd::buildExecPlan(const SpmdProgram &Prog,
   return B;
 }
 
-PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
-                           unsigned Threads, EngineKind Engine)
-    : Prog(ProgIn), I(IIn), NP(IIn.NumProcs) {
-  {
-    PlanBuild B = buildExecPlan(
-        Prog, {&I.Arrays, &I.AllBindings, &I.ProcShape, &I.EventInPlace});
-    Plan = std::move(B.Plan);
-    ArrayIds = std::move(B.ArrayIds);
-    Stores = std::move(B.Stores);
-  }
-  PerProc.resize(NP);
-  for (Scratch &S : PerProc) {
-    S.Stack.assign(Plan.StackDepth + 1, 0);
-    S.PartnerPos.assign(NP, -1);
-  }
-  SendCache.assign(Plan.Events.size(), std::vector<SideCache>(NP));
-  RecvCache.assign(Plan.Events.size(), std::vector<SideCache>(NP));
-  OvV.assign(NP, std::vector<std::unordered_map<int64_t, double>>(
-                     Plan.ArrayNames.size()));
-  PdV.assign(NP, std::vector<std::unordered_map<int64_t, double>>(
-                     Plan.ArrayNames.size()));
-  if (Threads > 1 && NP > 1)
-    Pool = std::make_unique<ThreadPool>(Threads - 1);
-  if (Engine == EngineKind::Native)
-    setupNative();
-}
-
-PlanExecutor::~PlanExecutor() = default;
 
 //===----------------------------------------------------------------------===//
-// Native engine state
+// Plan walking and virtual-processor mapping
 //===----------------------------------------------------------------------===//
 
-/// The per-executor native state: the loaded kernel table, stable array
-/// tables, and one DhpfCtx per processor rank. Kernels call back into the
-/// executor through the static trampolines below; Ctx keeps the C context
-/// as its first member so a DhpfCtx* converts back to the full record.
-struct PlanExecutor::NativeState {
-  const native::Kernel *Kern = nullptr;
-  const DhpfKernelTable *T = nullptr;
+namespace {
 
-  // Shared per-array tables (pointers into the Interpreter's stores; array
-  // shapes are fixed before the executor is constructed).
-  std::vector<double *> Data;
-  std::vector<const int32_t *> Owner;
-  std::vector<int64_t> Size;
-  /// Per-leaf Cost * SecPerWork: the kernel adds this one precomputed
-  /// product per statement instance, exactly sim::Machine::addCompute's
-  /// arithmetic, so simulated clocks stay bit-identical.
-  std::vector<double> LeafCostSec;
-
-  struct Ctx {
-    DhpfCtx C = {}; // must stay first (standard-layout cast target)
-    PlanExecutor *PE = nullptr;
-    unsigned P = 0;
-  };
-  std::vector<Ctx> Procs;
-  std::vector<std::vector<double>> ReadBufs; // per proc, MaxReads wide
-
-  static Ctx *of(DhpfCtx *C) { return reinterpret_cast<Ctx *>(C); }
-
-  static double readSlow(DhpfCtx *C, int32_t A, int64_t F) {
-    Ctx *X = of(C);
-    return X->PE->readFast(X->P, static_cast<uint32_t>(A), F,
-                           X->PE->PerProc[X->P]);
-  }
-  static void writeSlow(DhpfCtx *C, int32_t A, int64_t F, double V) {
-    Ctx *X = of(C);
-    X->PE->writeFast(X->P, static_cast<uint32_t>(A), F, V);
-  }
-  static double stmt(DhpfCtx *C, int32_t Leaf, int32_t N) {
-    Ctx *X = of(C);
-    return X->PE->nativeStmt(X->P, Leaf, N, C->Reads);
-  }
-  static void progress(DhpfCtx *) {} // in-process: nothing to pump
-  static void growPairs(DhpfCtx *C) {
-    Ctx *X = of(C);
-    Scratch &S = X->PE->PerProc[X->P];
-    size_t Cap = S.RawQ.empty() ? 256 : S.RawQ.size() * 2;
-    S.RawQ.resize(Cap);
-    S.RawF.resize(Cap);
-    C->PairQ = S.RawQ.data();
-    C->PairF = S.RawF.data();
-    C->CapPairs = Cap;
-  }
-};
-
-double PlanExecutor::nativeStmt(unsigned P, int32_t Leaf, int32_t N,
-                                const double *Reads) {
-  Scratch &S = PerProc[P];
-  S.Reads.assign(Reads, Reads + N);
-  const StmtFn *Fn = Sems[Leaf];
-  assert(Fn && "statement without semantics");
-  return (*Fn)(S.Reads, I.Env[P], I.Accums[P]);
-}
-
-void PlanExecutor::setupNative() {
-  native::PlanSource Src;
-  {
-    obs::TraceSpan Span(&obs::TraceBuffer::global(), "native:emit",
-                        "spmd.native");
-    Src = native::emitPlanSource(Plan);
-  }
-  std::string Err;
-  const native::Kernel *K = native::KernelCache::global().get(Src, &Err);
-  if (!K) {
-    std::fprintf(stderr,
-                 "dhpf: native engine unavailable, falling back to "
-                 "bytecode: %s\n",
-                 Err.c_str());
-    obs::MetricsRegistry::global().counter("spmd.native.fallbacks")->inc();
-    return;
-  }
-  auto NS = std::make_unique<NativeState>();
-  NS->Kern = K;
-  NS->T = K->Table;
-  for (ArrayStore *A : Stores) {
-    NS->Data.push_back(A->data());
-    NS->Owner.push_back(A->Owner.empty() ? nullptr : A->Owner.data());
-    NS->Size.push_back(static_cast<int64_t>(A->size()));
-  }
-  const double SPW = I.Config.Machine.SecPerWork;
-  for (const StmtPlan &SP : Plan.Stmts)
-    NS->LeafCostSec.push_back(SP.Cost * SPW);
-  NS->ReadBufs.assign(
-      NP, std::vector<double>(Src.MaxReads ? Src.MaxReads : 1, 0.0));
-  NS->Procs.resize(NP);
-  for (unsigned P = 0; P != NP; ++P) {
-    NativeState::Ctx &X = NS->Procs[P];
-    X.PE = this;
-    X.P = P;
-    DhpfCtx &C = X.C;
-    C.Host = &X;
-    C.Me = static_cast<int32_t>(P);
-    C.NumArrays = static_cast<int32_t>(Stores.size());
-    C.Data = NS->Data.data();
-    C.Owner = NS->Owner.data();
-    C.Size = NS->Size.data();
-    C.Reads = NS->ReadBufs[P].data();
-    C.LeafCostSec = NS->LeafCostSec.data();
-    C.Clock = &I.Mach.clockRef(P);
-    C.Stmts = &PerProc[P].Stmts;
-    C.ProgressCtr = 0;
-    C.ProgressEvery = ~0ull; // in-process: no transport to pump
-    C.ReadSlow = &NativeState::readSlow;
-    C.WriteSlow = &NativeState::writeSlow;
-    C.Stmt = &NativeState::stmt;
-    C.Progress = &NativeState::progress;
-    C.PairQ = nullptr; // bound per event enumeration
-    C.PairF = nullptr;
-    C.NumPairs = 0;
-    C.CapPairs = 0;
-    C.GrowPairs = &NativeState::growPairs;
-  }
-  Native = std::move(NS);
-}
-
-//===----------------------------------------------------------------------===//
-// Plan walking
-//===----------------------------------------------------------------------===//
-
-bool PlanExecutor::guardHolds(const PlanGuard &G, const int64_t *Regs,
-                              int64_t *Stack) const {
+bool guardHolds(const PlanGuard &G, const int64_t *Regs, int64_t *Stack) {
   for (const std::vector<PlanAtom> &Conj : G.AnyOf) {
     bool All = true;
     for (const PlanAtom &At : Conj)
@@ -588,8 +435,8 @@ bool PlanExecutor::guardHolds(const PlanGuard &G, const int64_t *Regs,
 }
 
 template <typename LeafFn>
-void PlanExecutor::walk(const PlanAst &A, uint32_t Idx, int64_t *Regs,
-                        int64_t *Stack, const LeafFn &F) const {
+void walk(const PlanAst &A, uint32_t Idx, int64_t *Regs, int64_t *Stack,
+          const LeafFn &F) {
   const PlanAst::Node &N = A.Nodes[Idx];
   switch (N.K) {
   case PlanAst::Node::Kind::Loop: {
@@ -620,138 +467,325 @@ void PlanExecutor::walk(const PlanAst &A, uint32_t Idx, int64_t *Regs,
 }
 
 template <typename LeafFn>
-void PlanExecutor::walkAll(const PlanAst &A, int64_t *Regs, int64_t *Stack,
-                           const LeafFn &F) const {
+void walkAll(const PlanAst &A, int64_t *Regs, int64_t *Stack,
+             const LeafFn &F) {
   for (uint32_t C = 0; C < A.Nodes.size(); C = A.Nodes[C].SubtreeEnd)
     walk(A, C, Regs, Stack, F);
 }
 
-template <typename Fn> void PlanExecutor::forProcs(bool Parallel, Fn &&F) {
-  if (Parallel && Pool && NP > 1) {
-    Pool->parallelFor(NP, [&](size_t P) { F(static_cast<unsigned>(P)); });
+/// The runtime check the paper attaches to VP communication code, over
+/// the pre-resolved DimPlan forms.
+bool isRealVP(const std::vector<DimPlan> &Dims, const int64_t *PT) {
+  for (unsigned D = 0; D != Dims.size(); ++D) {
+    const DimPlan &DP = Dims[D];
+    if (!DP.Virtualized)
+      continue;
+    int64_t Off = PT[D] - DP.TmplLo;
+    switch (DP.Kind) {
+    case DistSpec::Kind::Block:
+      if (floorMod(Off, DP.Block) != 0 || Off / DP.Block >= DP.Extent)
+        return false; // fictitious: not a block start, or past the array
+      break;
+    case DistSpec::Kind::Cyclic:
+      break; // every template cell is a real VP
+    case DistSpec::Kind::CyclicK:
+      if (floorMod(Off, DP.CyclicK) != 0)
+        return false; // not a block start
+      break;
+    case DistSpec::Kind::Star:
+      break;
+    }
+  }
+  return true;
+}
+
+unsigned rankOfPartner(const std::vector<DimPlan> &Dims, const int64_t *PT) {
+  int64_t R = 0, M = 1;
+  for (unsigned D = 0; D != Dims.size(); ++D) {
+    const DimPlan &DP = Dims[D];
+    int64_t C = 0;
+    if (!DP.Virtualized) {
+      C = PT[D];
+    } else {
+      switch (DP.Kind) {
+      case DistSpec::Kind::Block:
+        C = (PT[D] - DP.TmplLo) / DP.Block;
+        break;
+      case DistSpec::Kind::Cyclic:
+        C = floorMod(PT[D] - DP.TmplLo, DP.Extent);
+        break;
+      case DistSpec::Kind::CyclicK:
+        C = floorMod((PT[D] - DP.TmplLo) / DP.CyclicK, DP.Extent);
+        break;
+      case DistSpec::Kind::Star:
+        break;
+      }
+    }
+    assert(C >= 0 && C < DP.Extent && "partner coordinate out of range");
+    R += C * M;
+    M *= DP.Extent;
+  }
+  return static_cast<unsigned>(R);
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// LoadedPlan
+//===----------------------------------------------------------------------===//
+
+LoadedPlan::LoadedPlan(const SpmdProgram &Prog, const PlanBuildInputs &In,
+                       double SecPerWork) {
+  PlanBuild B = buildExecPlan(Prog, In);
+  Plan = std::move(B.Plan);
+  Stores = std::move(B.Stores);
+  for (ArrayStore *A : Stores) {
+    Data.push_back(A->data());
+    Owner.push_back(A->Owner.empty() ? nullptr : A->Owner.data());
+    Size.push_back(static_cast<int64_t>(A->size()));
+  }
+  for (const StmtPlan &SP : Plan.Stmts) {
+    LeafCostSec.push_back(SP.Cost * SecPerWork);
+    MaxReads = std::max(MaxReads, static_cast<unsigned>(SP.Reads.size()));
+  }
+}
+
+void LoadedPlan::setupNative(obs::TraceBuffer *Trace, const std::string &Who) {
+  native::PlanSource Src;
+  {
+    obs::TraceSpan Span(Trace, "native:emit", "spmd.native");
+    Src = native::emitPlanSource(Plan);
+  }
+  std::string Err;
+  const native::Kernel *K = native::KernelCache::global().get(Src, &Err);
+  if (!K) {
+    std::fprintf(stderr,
+                 "dhpf: %snative engine unavailable, falling back to "
+                 "bytecode: %s\n",
+                 Who.c_str(), Err.c_str());
+    obs::MetricsRegistry::global().counter("spmd.native.fallbacks")->inc();
     return;
   }
-  for (unsigned P = 0; P != NP; ++P)
-    F(P);
+  Kernels = K->Table;
 }
 
-/// Replays per-processor buffered violations and statement counts into the
-/// shared result, in processor order (matching the tree engine's sequential
-/// execution order exactly).
-void PlanExecutor::mergeScratch() {
-  for (unsigned P = 0; P != NP; ++P) {
-    Scratch &S = PerProc[P];
-    I.Result.StmtInstances += S.Stmts;
-    S.Stmts = 0;
-    for (const std::string &M : S.Viol)
-      I.violation(M);
-    S.Viol.clear();
+void LoadedPlan::bindSemantics(const std::map<int, StmtFn> &Semantics) {
+  Sems.assign(Plan.Stmts.size(), nullptr);
+  for (size_t K = 0; K != Plan.Stmts.size(); ++K) {
+    auto It = Semantics.find(Plan.Stmts[K].SemanticsId);
+    if (It != Semantics.end())
+      Sems[K] = &It->second;
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Element access
+// RankCore
 //===----------------------------------------------------------------------===//
 
-double PlanExecutor::readFast(unsigned P, uint32_t AId, int64_t Flat,
-                              Scratch &S) {
-  ArrayStore &A = *Stores[AId];
+RankCore::RankCore(LoadedPlan &LIn, unsigned MeIn, unsigned NP,
+                   std::vector<int64_t> &EnvIn, AccumMap &AccumsIn,
+                   bool CheckValidityIn, double *Clock)
+    : L(LIn), Plan(LIn.Plan), Me(MeIn), Env(EnvIn), Accums(AccumsIn),
+      CheckValidity(CheckValidityIn) {
+  Stack.assign(Plan.StackDepth + 1, 0);
+  ReadBuf.assign(L.MaxReads, 0.0);
+  PartnerPos.assign(NP, -1);
+  SendCache.resize(Plan.Events.size());
+  RecvCache.resize(Plan.Events.size());
+  Overlay.resize(Plan.ArrayNames.size());
+  Pending.resize(Plan.ArrayNames.size());
+  Ctx.Host = this;
+  Ctx.Me = static_cast<int32_t>(Me);
+  Ctx.NumArrays = static_cast<int32_t>(L.Stores.size());
+  Ctx.Data = L.Data.data();
+  Ctx.Owner = L.Owner.data();
+  Ctx.Size = L.Size.data();
+  Ctx.Reads = ReadBuf.data();
+  Ctx.LeafCostSec = L.LeafCostSec.data();
+  Ctx.Clock = Clock;
+  Ctx.Stmts = &Stmts;
+  Ctx.ProgressCtr = 0;
+  Ctx.ProgressEvery = ~0ull; // no transport to pump until pumpEvery()
+  Ctx.ReadSlow = &RankCore::readSlowCb;
+  Ctx.WriteSlow = &RankCore::writeSlowCb;
+  Ctx.Stmt = &RankCore::stmtCb;
+  Ctx.Progress = &RankCore::progressCb;
+  Ctx.GrowPairs = &RankCore::growPairsCb; // PairQ/PairF bound per event
+}
+
+void RankCore::pumpEvery(uint64_t Every, std::function<void()> Fn) {
+  Ctx.ProgressEvery = Every;
+  OnProgress = std::move(Fn);
+}
+
+int64_t RankCore::eval(const bc::Prog &P) {
+  return P.eval(Env.data(), Stack.data());
+}
+
+double RankCore::readSlowCb(DhpfCtx *C, int32_t A, int64_t F) {
+  return static_cast<RankCore *>(C->Host)->read(static_cast<uint32_t>(A), F);
+}
+
+void RankCore::writeSlowCb(DhpfCtx *C, int32_t A, int64_t F, double V) {
+  static_cast<RankCore *>(C->Host)->write(static_cast<uint32_t>(A), F, V);
+}
+
+double RankCore::stmtCb(DhpfCtx *C, int32_t Leaf, int32_t N) {
+  RankCore &K = *static_cast<RankCore *>(C->Host);
+  K.Reads.assign(C->Reads, C->Reads + N);
+  return K.stmt(Leaf);
+}
+
+void RankCore::progressCb(DhpfCtx *C) {
+  // Called from compiled C frames: an exception must not unwind through
+  // them. Park it, stop pumping, and let compute() rethrow it.
+  RankCore &K = *static_cast<RankCore *>(C->Host);
+  try {
+    K.OnProgress();
+  } catch (...) {
+    K.ProgressError = std::current_exception();
+    C->ProgressEvery = ~0ull;
+  }
+}
+
+void RankCore::growPairsCb(DhpfCtx *C) {
+  RankCore &K = *static_cast<RankCore *>(C->Host);
+  size_t Cap = K.RawQ.empty() ? 256 : K.RawQ.size() * 2;
+  K.RawQ.resize(Cap);
+  K.RawF.resize(Cap);
+  C->PairQ = K.RawQ.data();
+  C->PairF = K.RawF.data();
+  C->CapPairs = Cap;
+}
+
+double RankCore::read(uint32_t AId, int64_t Flat) {
+  ArrayStore &A = *L.Stores[AId];
   assert(Flat >= 0 && Flat < static_cast<int64_t>(A.size()) &&
          "flat subscript out of bounds");
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
+  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(Me) ||
       A.Owner[Flat] < 0)
     return A.at(Flat);
-  auto &Ov = OvV[P][AId];
+  auto &Ov = Overlay[AId];
   auto It = Ov.find(Flat);
   if (It != Ov.end())
     return It->second;
-  auto &Pd = PdV[P][AId];
+  auto &Pd = Pending[AId];
   auto It2 = Pd.find(Flat);
   if (It2 != Pd.end())
     return It2->second;
-  if (I.Config.CheckValidity && S.Viol.size() < 20)
-    S.Viol.push_back("proc " + std::to_string(P) + " read unreceived element " +
-                     std::to_string(Flat) + " of " + Plan.ArrayNames[AId]);
+  if (CheckValidity && Viol.size() < MaxViolations)
+    Viol.push_back("proc " + std::to_string(Me) + " read unreceived element " +
+                   std::to_string(Flat) + " of " + Plan.ArrayNames[AId]);
   return A.at(Flat);
 }
 
-void PlanExecutor::writeFast(unsigned P, uint32_t AId, int64_t Flat,
-                             double V) {
-  ArrayStore &A = *Stores[AId];
+void RankCore::write(uint32_t AId, int64_t Flat, double V) {
+  ArrayStore &A = *L.Stores[AId];
   assert(Flat >= 0 && Flat < static_cast<int64_t>(A.size()) &&
          "flat subscript out of bounds");
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
+  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(Me) ||
       A.Owner[Flat] < 0) {
     A.at(Flat) = V;
     return;
   }
-  PdV[P][AId][Flat] = V;
+  Pending[AId][Flat] = V;
 }
 
-//===----------------------------------------------------------------------===//
-// Event execution
-//===----------------------------------------------------------------------===//
+double RankCore::stmt(int32_t Leaf) {
+  const StmtFn *Fn = L.Sems[Leaf];
+  assert(Fn && "statement without semantics");
+  return (*Fn)(Reads, Env, Accums);
+}
 
-void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
-                              unsigned P, std::vector<PartnerList> &Lists,
-                              bool RecvSide) {
-  Scratch &S = PerProc[P];
-  if (Native && Native->T) {
+void RankCore::compute(const PlanNode &N) {
+  if (L.Kernels && N.NativeComputeId >= 0) {
+    // The compiled loop nest performs the identical sequence of reads,
+    // statement calls, stores, clock bumps, instance counts and progress
+    // pumps; slow paths (non-local elements) come back through the
+    // callbacks.
+    L.Kernels->Compute[N.NativeComputeId](&Ctx, Env.data());
+  } else {
+    walkCompute(N);
+  }
+  if (ProgressError)
+    std::rethrow_exception(std::exchange(ProgressError, nullptr));
+}
+
+void RankCore::walkCompute(const PlanNode &N) {
+  int64_t *Stk = Stack.data();
+  walkAll(N.Loops, Env.data(), Stk, [&](int32_t Leaf, const int64_t *R) {
+    const StmtPlan &SP = Plan.Stmts[Leaf];
+    Reads.clear();
+    for (const StmtPlan::Read &Rd : SP.Reads)
+      Reads.push_back(read(Rd.Array, Rd.Flat.eval(R, Stk)));
+    write(SP.WriteArray, SP.WriteFlat.eval(R, Stk), stmt(Leaf));
+    *Ctx.Clock += L.LeafCostSec[Leaf];
+    ++Stmts;
+    // The Figure 4 overlap window: drive posted sends forward while this
+    // rank computes its local iterations.
+    if (++Ctx.ProgressCtr >= Ctx.ProgressEvery) {
+      Ctx.ProgressCtr = 0;
+      Ctx.Progress(&Ctx);
+    }
+  });
+}
+
+void RankCore::buildLists(const PlanAst &A, const EventPlan &EP,
+                          std::vector<PartnerList> &Out, bool RecvSide) {
+  if (L.Kernels) {
     // Native enumeration: the kernel folds the realVP check and rank
     // mapping to constants and fills RawQ/RawF through the pair buffer.
     size_t EIdx = static_cast<size_t>(&EP - Plan.Events.data());
-    NativeState::Ctx &X = Native->Procs[P];
-    if (S.RawQ.empty()) {
-      S.RawQ.resize(256);
-      S.RawF.resize(256);
+    if (RawQ.empty()) {
+      RawQ.resize(256);
+      RawF.resize(256);
     }
-    X.C.PairQ = S.RawQ.data();
-    X.C.PairF = S.RawF.data();
-    X.C.NumPairs = 0;
-    X.C.CapPairs = S.RawQ.size();
+    Ctx.PairQ = RawQ.data();
+    Ctx.PairF = RawF.data();
+    Ctx.NumPairs = 0;
+    Ctx.CapPairs = RawQ.size();
     DhpfEnumFn Fn =
-        RecvSide ? Native->T->EventRecv[EIdx] : Native->T->EventSend[EIdx];
-    Fn(&X.C, I.Env[P].data());
-    S.RawLen = X.C.NumPairs;
+        RecvSide ? L.Kernels->EventRecv[EIdx] : L.Kernels->EventSend[EIdx];
+    Fn(&Ctx, Env.data());
+    RawLen = Ctx.NumPairs;
   } else {
-    S.RawQ.clear();
-    S.RawF.clear();
+    RawQ.clear();
+    RawF.clear();
     const unsigned ND = static_cast<unsigned>(EP.PartnerSlots.size());
     std::vector<int64_t> PT(ND);
-    int64_t *Stack = S.Stack.data();
-    walkAll(A, I.Env[P].data(), Stack,
-            [&](int32_t, const int64_t *Regs) {
-              for (unsigned D = 0; D != ND; ++D)
-                PT[D] = Regs[EP.PartnerSlots[D]];
-              if (!isRealVP(PT.data()))
-                return; // fictitious virtual processor
-              unsigned Q = rankOfPartner(PT.data());
-              if (Q == P)
-                return; // VP neighbours on the same physical processor
-              S.RawQ.push_back(Q);
-              S.RawF.push_back(EP.ElemFlat.eval(Regs, Stack));
-            });
-    S.RawLen = S.RawQ.size();
+    int64_t *Stk = Stack.data();
+    walkAll(A, Env.data(), Stk, [&](int32_t, const int64_t *Regs) {
+      for (unsigned D = 0; D != ND; ++D)
+        PT[D] = Regs[EP.PartnerSlots[D]];
+      if (!isRealVP(Plan.Dims, PT.data()))
+        return; // fictitious virtual processor
+      unsigned Q = rankOfPartner(Plan.Dims, PT.data());
+      if (Q == Me)
+        return; // VP neighbours on the same physical processor
+      RawQ.push_back(Q);
+      RawF.push_back(EP.ElemFlat.eval(Regs, Stk));
+    });
+    RawLen = RawQ.size();
   }
   // Group per partner in first-appearance order (the tree engine's message
   // order), then dedup by sort+unique: union conjuncts in the comm sets may
   // enumerate an element twice.
-  Lists.clear();
-  for (size_t R = 0; R != S.RawLen; ++R) {
-    const unsigned Q = S.RawQ[R];
-    const int64_t F = S.RawF[R];
-    if (S.PartnerPos[Q] < 0) {
-      S.PartnerPos[Q] = static_cast<int32_t>(Lists.size());
+  Out.clear();
+  for (size_t R = 0; R != RawLen; ++R) {
+    const unsigned Q = RawQ[R];
+    if (PartnerPos[Q] < 0) {
+      PartnerPos[Q] = static_cast<int32_t>(Out.size());
       PartnerList PL;
       PL.Q = Q;
       PL.Flats = std::make_shared<std::vector<int64_t>>();
-      Lists.push_back(std::move(PL));
+      Out.push_back(std::move(PL));
     }
-    Lists[S.PartnerPos[Q]].Flats->push_back(F);
+    Out[PartnerPos[Q]].Flats->push_back(RawF[R]);
   }
-  const ArrayStore &Arr = *Stores[EP.Array];
-  for (PartnerList &PL : Lists) {
-    S.PartnerPos[PL.Q] = -1;
+  const ArrayStore &Arr = *L.Stores[EP.Array];
+  const int32_t MeId = static_cast<int32_t>(Me);
+  for (PartnerList &PL : Out) {
+    PartnerPos[PL.Q] = -1;
     std::vector<int64_t> &V = *PL.Flats;
     std::sort(V.begin(), V.end());
     V.erase(std::unique(V.begin(), V.end()), V.end());
@@ -761,11 +795,9 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
     PL.Contig = V.back() - V.front() + 1 == static_cast<int64_t>(V.size());
     bool AnyLocal = false, AnyRemote = false;
     for (int64_t F : V) {
-      bool Local =
-          RecvSide ? !Arr.Owner.empty() &&
-                         Arr.Owner[F] == static_cast<int32_t>(P)
-                   : Arr.Owner.empty() || Arr.Owner[F] < 0 ||
-                         Arr.Owner[F] == static_cast<int32_t>(P);
+      bool Local = RecvSide ? !Arr.Owner.empty() && Arr.Owner[F] == MeId
+                            : Arr.Owner.empty() || Arr.Owner[F] < 0 ||
+                                  Arr.Owner[F] == MeId;
       (Local ? AnyLocal : AnyRemote) = true;
       if (AnyLocal && AnyRemote)
         break;
@@ -776,125 +808,206 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
   }
 }
 
-void PlanExecutor::runSend(const PlanNode &N) {
-  EventPlan &EP = Plan.Events[N.EventId];
-  ArrayStore &Arr = *Stores[EP.Array];
-  const std::string &ArrName = Plan.ArrayNames[EP.Array];
-  forProcs(true, [&](unsigned P) {
-    Scratch &S = PerProc[P];
-    std::vector<PartnerList> *L;
-    if (EP.Cacheable) {
-      SideCache &C = SendCache[N.EventId][P];
-      if (!C.Built) {
-        buildLists(EP.Send, EP, P, C.Partners, /*RecvSide=*/false);
-        C.Built = true;
-      }
-      L = &C.Partners;
-    } else {
-      buildLists(EP.Send, EP, P, S.Lists, /*RecvSide=*/false);
-      L = &S.Lists;
+const std::vector<RankCore::PartnerList> &
+RankCore::lists(const EventPlan &EP, bool RecvSide) {
+  const PlanAst &A = RecvSide ? EP.Recv : EP.Send;
+  if (!EP.Cacheable) {
+    buildLists(A, EP, Lists, RecvSide);
+    return Lists;
+  }
+  size_t EIdx = static_cast<size_t>(&EP - Plan.Events.data());
+  SideCache &C = (RecvSide ? RecvCache : SendCache)[EIdx];
+  if (!C.Built) {
+    buildLists(A, EP, C.Partners, RecvSide);
+    C.Built = true;
+  }
+  return C.Partners;
+}
+
+void RankCore::pack(const EventPlan &EP, const PartnerList &PL, double *Out) {
+  ArrayStore &Arr = *L.Stores[EP.Array];
+  const std::vector<int64_t> &F = *PL.Flats;
+  if (isSpan(PL)) {
+    // Zero-copy span gather: the Section 3.3 analysis promised this shape;
+    // memcpy straight out of the store (via the kernel's pack body when
+    // the native engine is live).
+    if (L.Kernels)
+      L.Kernels->CopySpan(Out, Arr.data() + PL.Base, F.size());
+    else
+      std::copy_n(Arr.data() + PL.Base, F.size(), Out);
+    return;
+  }
+  if (PL.Own == PartnerList::OwnClass::AllLocal) {
+    if (L.Kernels)
+      L.Kernels->Gather(Out, Arr.data(), F.data(), F.size());
+    else
+      for (size_t K = 0; K != F.size(); ++K)
+        Out[K] = Arr.at(F[K]);
+    return;
+  }
+  auto &Pd = Pending[EP.Array];
+  for (size_t K = 0; K != F.size(); ++K) {
+    int64_t Fl = F[K];
+    if (Arr.Owner.empty() || Arr.Owner[Fl] < 0 ||
+        Arr.Owner[Fl] == static_cast<int32_t>(Me)) {
+      Out[K] = Arr.at(Fl); // forwarding data I own (read comm)
+      continue;
     }
-    S.Out.clear();
-    S.OutQ.clear();
-    for (const PartnerList &PL : *L) {
-      const std::vector<int64_t> &F = *PL.Flats;
+    auto It = Pd.find(Fl);
+    if (It == Pd.end()) {
+      violation("proc " + std::to_string(Me) +
+                " sends unwritten non-local element of " +
+                Plan.ArrayNames[EP.Array]);
+      Out[K] = Arr.at(Fl);
+    } else {
+      Out[K] = It->second; // transmitting a non-local write
+    }
+  }
+}
+
+void RankCore::unpack(const EventPlan &EP, const PartnerList &PL,
+                      const PayloadView &Pay) {
+  ArrayStore &Arr = *L.Stores[EP.Array];
+  const std::vector<int64_t> &Exp = *PL.Flats;
+  auto &Ov = Overlay[EP.Array];
+  if (Pay.Count != Exp.size())
+    violation("message size mismatch for event " + std::to_string(EP.Id) +
+              " (" + std::to_string(Pay.Count) + " sent vs " +
+              std::to_string(Exp.size()) + " expected)");
+  auto Apply = [&](int64_t F, double V) {
+    if (!Arr.Owner.empty() && Arr.Owner[F] == static_cast<int32_t>(Me))
+      Arr.at(F) = V; // a remote write reaching its owner
+    else
+      Ov[F] = V;
+  };
+  auto Missing = [&] {
+    violation("expected element missing from message (event " +
+              std::to_string(EP.Id) + ")");
+  };
+  if (!Pay.Flats && PL.Contig && Pay.Base == PL.Base &&
+      Pay.Count == Exp.size() && PL.Own == PartnerList::OwnClass::AllLocal) {
+    // Zero-copy span apply: unpack is a single memcpy into the store.
+    if (L.Kernels)
+      L.Kernels->CopySpan(Arr.data() + PL.Base, Pay.Vals, Pay.Count);
+    else
+      std::copy_n(Pay.Vals, Pay.Count, Arr.data() + PL.Base);
+  } else if (!Pay.Flats) {
+    int64_t Cnt = static_cast<int64_t>(Pay.Count);
+    for (int64_t F : Exp) {
+      int64_t Idx = F - Pay.Base;
+      if (Idx < 0 || Idx >= Cnt)
+        Missing();
+      else
+        Apply(F, Pay.Vals[Idx]);
+    }
+  } else {
+    // Merge-join of two sorted lists (expected vs delivered).
+    size_t J = 0;
+    for (int64_t F : Exp) {
+      while (J != Pay.Count && Pay.Flats[J] < F)
+        ++J;
+      if (J == Pay.Count || Pay.Flats[J] != F)
+        Missing();
+      else
+        Apply(F, Pay.Vals[J]);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// PlanExecutor: all ranks in one process
+//===----------------------------------------------------------------------===//
+
+PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
+                           unsigned Threads, EngineKind Engine)
+    : Prog(ProgIn), I(IIn), NP(IIn.NumProcs),
+      L(ProgIn,
+        PlanBuildInputs{&IIn.Arrays, &IIn.AllBindings, &IIn.ProcShape,
+                        &IIn.EventInPlace},
+        IIn.Config.Machine.SecPerWork) {
+  if (Engine == EngineKind::Native)
+    L.setupNative(&obs::TraceBuffer::global());
+  for (unsigned P = 0; P != NP; ++P)
+    Cores.push_back(std::make_unique<RankCore>(
+        L, P, NP, I.Env[P], I.Accums[P], I.Config.CheckValidity,
+        &I.Mach.clockRef(P)));
+  Out.resize(NP);
+  if (Threads > 1 && NP > 1)
+    Pool = std::make_unique<ThreadPool>(Threads - 1);
+}
+
+PlanExecutor::~PlanExecutor() = default;
+
+template <typename Fn> void PlanExecutor::forProcs(bool Parallel, Fn &&F) {
+  if (Parallel && Pool && NP > 1) {
+    Pool->parallelFor(NP, [&](size_t P) { F(static_cast<unsigned>(P)); });
+    return;
+  }
+  for (unsigned P = 0; P != NP; ++P)
+    F(P);
+}
+
+void PlanExecutor::drain(unsigned P) {
+  I.Result.StmtInstances +=
+      Cores[P]->drain([&](const std::string &M) { I.violation(M); });
+}
+
+void PlanExecutor::runCompute(const PlanNode &N) {
+  forProcs(N.ParallelSafe, [&](unsigned P) { Cores[P]->compute(N); });
+  // Replayed in processor order, matching the tree engine exactly.
+  for (unsigned P = 0; P != NP; ++P)
+    drain(P);
+}
+
+void PlanExecutor::runSend(const PlanNode &N) {
+  const EventPlan &EP = L.plan().Events[N.EventId];
+  forProcs(true, [&](unsigned P) {
+    RankCore &C = *Cores[P];
+    std::vector<std::pair<unsigned, Payload>> &O = Out[P];
+    O.clear();
+    for (const RankCore::PartnerList &PL : C.lists(EP, /*RecvSide=*/false)) {
       Payload Pay;
       Pay.Base = PL.Base;
-      Pay.Contig = PL.Contig;
-      Pay.Span = PL.Own == PartnerList::OwnClass::AllLocal && PL.Contig;
-      Pay.Vals.resize(F.size());
-      if (PL.Own == PartnerList::OwnClass::AllLocal && PL.Contig) {
-        // Zero-copy span gather: the Section 3.3 analysis promised this
-        // shape; memcpy straight out of the store (via the kernel's pack
-        // body when the native engine is live).
-        if (Native && Native->T)
-          Native->T->CopySpan(Pay.Vals.data(), Arr.data() + PL.Base,
-                              F.size());
-        else
-          std::copy_n(Arr.data() + PL.Base, F.size(), Pay.Vals.data());
-      } else if (PL.Own == PartnerList::OwnClass::AllLocal) {
-        if (Native && Native->T)
-          Native->T->Gather(Pay.Vals.data(), Arr.data(), F.data(), F.size());
-        else
-          for (size_t K = 0; K != F.size(); ++K)
-            Pay.Vals[K] = Arr.at(F[K]);
-      } else {
-        auto &Pd = PdV[P][EP.Array];
-        for (size_t K = 0; K != F.size(); ++K) {
-          int64_t Fl = F[K];
-          if (Arr.Owner.empty() || Arr.Owner[Fl] < 0 ||
-              Arr.Owner[Fl] == static_cast<int32_t>(P)) {
-            Pay.Vals[K] = Arr.at(Fl); // forwarding data I own (read comm)
-            continue;
-          }
-          auto It = Pd.find(Fl);
-          if (It == Pd.end()) {
-            if (S.Viol.size() < 20)
-              S.Viol.push_back("proc " + std::to_string(P) +
-                               " sends unwritten non-local element of " +
-                               ArrName);
-            Pay.Vals[K] = Arr.at(Fl);
-          } else {
-            Pay.Vals[K] = It->second; // transmitting a non-local write
-          }
-        }
-      }
+      Pay.Span = RankCore::isSpan(PL);
+      Pay.Vals.resize(PL.Flats->size());
+      C.pack(EP, PL, Pay.Vals.data());
       if (!PL.Contig)
         Pay.Flats = PL.Flats;
-      S.Out.push_back(std::move(Pay));
-      S.OutQ.push_back(PL.Q);
+      O.emplace_back(PL.Q, std::move(Pay));
     }
   });
   // Sequential merge in processor order: simulator clocks, message
   // counters and payload queues see exactly the tree engine's sequence.
   for (unsigned P = 0; P != NP; ++P) {
-    Scratch &S = PerProc[P];
-    for (const std::string &M : S.Viol)
-      I.violation(M);
-    S.Viol.clear();
-    for (size_t K = 0; K != S.Out.size(); ++K) {
-      Payload &Pay = S.Out[K];
+    drain(P);
+    for (auto &[Q, Pay] : Out[P]) {
       if (Pay.Span)
         ++I.Result.SpanCopies;
       else
         ++I.Result.PackedCopies;
-      uint64_t Bytes = Pay.count() * Arr.elemBytes();
-      uint64_t PackBytes = EP.InPlace ? 0 : Bytes;
-      I.Mach.send(P, S.OutQ[K], static_cast<uint64_t>(EP.Id), Bytes,
-                  PackBytes);
-      Payloads[{P, S.OutQ[K], EP.Id}].push(std::move(Pay));
+      uint64_t Bytes = Pay.count() * EP.ElemBytes;
+      I.Mach.send(P, Q, static_cast<uint64_t>(EP.Id), Bytes,
+                  EP.InPlace ? 0 : Bytes);
+      Payloads[{P, Q, EP.Id}].push(std::move(Pay));
     }
-    S.Out.clear();
-    S.OutQ.clear();
+    Out[P].clear();
   }
 }
 
 void PlanExecutor::runRecv(const PlanNode &N) {
-  EventPlan &EP = Plan.Events[N.EventId];
-  ArrayStore &Arr = *Stores[EP.Array];
+  const EventPlan &EP = L.plan().Events[N.EventId];
   // Phase 1 (parallel): enumerate each receiver's expected element lists.
+  std::vector<const std::vector<RankCore::PartnerList> *> Lists(NP);
   forProcs(true, [&](unsigned P) {
-    if (EP.Cacheable) {
-      SideCache &C = RecvCache[N.EventId][P];
-      if (!C.Built) {
-        buildLists(EP.Recv, EP, P, C.Partners, /*RecvSide=*/true);
-        C.Built = true;
-      }
-    } else {
-      buildLists(EP.Recv, EP, P, PerProc[P].Lists, /*RecvSide=*/true);
-    }
+    Lists[P] = &Cores[P]->lists(EP, /*RecvSide=*/true);
   });
   // Phase 2 (sequential): match payloads, advance clocks, apply values.
   for (unsigned P = 0; P != NP; ++P) {
-    std::vector<PartnerList> &L = EP.Cacheable
-                                      ? RecvCache[N.EventId][P].Partners
-                                      : PerProc[P].Lists;
-    auto &Ov = OvV[P][EP.Array];
-    for (const PartnerList &PL : L) {
-      const std::vector<int64_t> &Exp = *PL.Flats;
+    RankCore &C = *Cores[P];
+    for (const RankCore::PartnerList &PL : *Lists[P]) {
       auto PIt = Payloads.find({PL.Q, P, EP.Id});
       if (PIt == Payloads.end() || PIt->second.empty()) {
-        I.violation("proc " + std::to_string(P) + " expects a message from " +
+        C.violation("proc " + std::to_string(P) + " expects a message from " +
                     std::to_string(PL.Q) + " for event " +
                     std::to_string(EP.Id) + " that was never sent");
         continue;
@@ -904,85 +1017,13 @@ void PlanExecutor::runRecv(const PlanNode &N) {
       if (PIt->second.empty())
         Payloads.erase(PIt);
       I.Mach.recv(PL.Q, P, static_cast<uint64_t>(EP.Id),
-                  EP.InPlace ? 0 : Pay.count() * Arr.elemBytes());
-      if (Pay.count() != Exp.size())
-        I.violation("message size mismatch for event " + std::to_string(EP.Id) +
-                    " (" + std::to_string(Pay.count()) + " sent vs " +
-                    std::to_string(Exp.size()) + " expected)");
-      auto Apply = [&](int64_t F, double V) {
-        if (!Arr.Owner.empty() && Arr.Owner[F] == static_cast<int32_t>(P))
-          Arr.at(F) = V; // a remote write reaching its owner
-        else
-          Ov[F] = V;
-      };
-      auto Missing = [&] {
-        I.violation("expected element missing from message (event " +
-                    std::to_string(EP.Id) + ")");
-      };
-      if (Pay.Contig && PL.Contig && Pay.Base == PL.Base &&
-          Pay.count() == Exp.size() &&
-          PL.Own == PartnerList::OwnClass::AllLocal) {
-        // Zero-copy span apply: unpack is a single memcpy into the store.
-        if (Native && Native->T)
-          Native->T->CopySpan(Arr.data() + PL.Base, Pay.Vals.data(),
-                              Pay.count());
-        else
-          std::copy_n(Pay.Vals.data(), Pay.count(), Arr.data() + PL.Base);
-      } else if (Pay.Contig) {
-        int64_t Cnt = static_cast<int64_t>(Pay.count());
-        for (int64_t F : Exp) {
-          int64_t Idx = F - Pay.Base;
-          if (Idx < 0 || Idx >= Cnt)
-            Missing();
-          else
-            Apply(F, Pay.Vals[Idx]);
-        }
-      } else {
-        // Merge-join of two sorted lists (expected vs delivered).
-        const std::vector<int64_t> &PF = *Pay.Flats;
-        size_t J = 0;
-        for (int64_t F : Exp) {
-          while (J != PF.size() && PF[J] < F)
-            ++J;
-          if (J == PF.size() || PF[J] != F)
-            Missing();
-          else
-            Apply(F, Pay.Vals[J]);
-        }
-      }
+                  EP.InPlace ? 0 : Pay.count() * EP.ElemBytes);
+      C.unpack(EP, PL,
+               {Pay.Flats ? Pay.Flats->data() : nullptr, Pay.Base,
+                Pay.Vals.data(), Pay.count()});
     }
+    drain(P);
   }
-}
-
-void PlanExecutor::runCompute(const PlanNode &N) {
-  if (Native && Native->T && N.NativeComputeId >= 0) {
-    // The compiled loop nest performs the identical sequence of reads,
-    // statement calls, stores, clock bumps, and instance counts; slow
-    // paths (non-local elements) come back through the trampolines.
-    const DhpfComputeFn Fn = Native->T->Compute[N.NativeComputeId];
-    forProcs(N.ParallelSafe,
-             [&](unsigned P) { Fn(&Native->Procs[P].C, I.Env[P].data()); });
-    mergeScratch();
-    return;
-  }
-  forProcs(N.ParallelSafe, [&](unsigned P) {
-    Scratch &S = PerProc[P];
-    int64_t *Regs = I.Env[P].data();
-    int64_t *Stack = S.Stack.data();
-    walkAll(N.Loops, Regs, Stack, [&](int32_t Leaf, const int64_t *R) {
-      const StmtPlan &SP = Plan.Stmts[Leaf];
-      S.Reads.clear();
-      for (const StmtPlan::Read &Rd : SP.Reads)
-        S.Reads.push_back(readFast(P, Rd.Array, Rd.Flat.eval(R, Stack), S));
-      const StmtFn *Fn = Sems[Leaf];
-      assert(Fn && "statement without semantics");
-      double V = (*Fn)(S.Reads, I.Env[P], I.Accums[P]);
-      writeFast(P, SP.WriteArray, SP.WriteFlat.eval(R, Stack), V);
-      I.Mach.addCompute(P, SP.Cost);
-      ++S.Stmts;
-    });
-  });
-  mergeScratch();
 }
 
 void PlanExecutor::runReduce(const PlanNode &N) {
@@ -990,7 +1031,7 @@ void PlanExecutor::runReduce(const PlanNode &N) {
                         ? -std::numeric_limits<double>::infinity()
                         : 0.0;
   std::vector<double *> Slot(NP);
-  if (Native && Native->T && N.NativeReduceId >= 0) {
+  if (L.kernels() && N.NativeReduceId >= 0) {
     // The kernel combine body folds in processor order with the exact
     // same floating-point operation sequence as the loop below.
     std::vector<double> Vals(NP);
@@ -999,7 +1040,7 @@ void PlanExecutor::runReduce(const PlanNode &N) {
       Slot[P] = &V;
       Vals[P] = V;
     }
-    Combined = Native->T->Reduce[N.NativeReduceId](Vals.data(), NP);
+    Combined = L.kernels()->Reduce[N.NativeReduceId](Vals.data(), NP);
   } else
     for (unsigned P = 0; P != NP; ++P) {
       double &V = I.Accums[P][N.RedName];
@@ -1022,9 +1063,8 @@ void PlanExecutor::runNode(const PlanNode &N) {
       runNode(C);
     break;
   case SpmdNode::Kind::TimeLoop: {
-    int64_t *Stack = PerProc[0].Stack.data();
-    int64_t Lo = N.SeqLo.eval(I.Env[0].data(), Stack);
-    int64_t Hi = N.SeqHi.eval(I.Env[0].data(), Stack);
+    int64_t Lo = Cores[0]->eval(N.SeqLo);
+    int64_t Hi = Cores[0]->eval(N.SeqHi);
     for (int64_t V = Lo; V <= Hi; ++V) {
       for (unsigned P = 0; P != NP; ++P)
         I.Env[P][N.SeqSlot] = V;
@@ -1049,14 +1089,9 @@ void PlanExecutor::runNode(const PlanNode &N) {
 }
 
 RunResult PlanExecutor::run() {
-  Sems.assign(Plan.Stmts.size(), nullptr);
-  for (size_t K = 0; K != Plan.Stmts.size(); ++K) {
-    auto It = I.Semantics.find(Plan.Stmts[K].SemanticsId);
-    if (It != I.Semantics.end())
-      Sems[K] = &It->second;
-  }
+  L.bindSemantics(I.Semantics);
   if (Prog.Root)
-    runNode(Plan.Root);
+    runNode(L.plan().Root);
   if (!Payloads.empty())
     I.violation("unconsumed messages remain (send/recv sets are not dual)");
   I.Result.ElapsedSeconds = I.Mach.elapsed();
@@ -1073,61 +1108,4 @@ RunResult PlanExecutor::run() {
             ->inc(Dispatch[K]);
   }
   return I.Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Virtual-processor mapping (pre-resolved DimPlan forms)
-//===----------------------------------------------------------------------===//
-
-bool PlanExecutor::isRealVP(const int64_t *PT) const {
-  for (unsigned D = 0; D != Plan.Dims.size(); ++D) {
-    const DimPlan &DP = Plan.Dims[D];
-    if (!DP.Virtualized)
-      continue;
-    int64_t Off = PT[D] - DP.TmplLo;
-    switch (DP.Kind) {
-    case DistSpec::Kind::Block:
-      if (floorMod(Off, DP.Block) != 0 || Off / DP.Block >= DP.Extent)
-        return false; // fictitious: not a block start, or past the array
-      break;
-    case DistSpec::Kind::Cyclic:
-      break; // every template cell is a real VP
-    case DistSpec::Kind::CyclicK:
-      if (floorMod(Off, DP.CyclicK) != 0)
-        return false; // not a block start
-      break;
-    case DistSpec::Kind::Star:
-      break;
-    }
-  }
-  return true;
-}
-
-unsigned PlanExecutor::rankOfPartner(const int64_t *PT) const {
-  int64_t R = 0, M = 1;
-  for (unsigned D = 0; D != Plan.Dims.size(); ++D) {
-    const DimPlan &DP = Plan.Dims[D];
-    int64_t C = 0;
-    if (!DP.Virtualized) {
-      C = PT[D];
-    } else {
-      switch (DP.Kind) {
-      case DistSpec::Kind::Block:
-        C = (PT[D] - DP.TmplLo) / DP.Block;
-        break;
-      case DistSpec::Kind::Cyclic:
-        C = floorMod(PT[D] - DP.TmplLo, DP.Extent);
-        break;
-      case DistSpec::Kind::CyclicK:
-        C = floorMod((PT[D] - DP.TmplLo) / DP.CyclicK, DP.Extent);
-        break;
-      case DistSpec::Kind::Star:
-        break;
-      }
-    }
-    assert(C >= 0 && C < DP.Extent && "partner coordinate out of range");
-    R += C * M;
-    M *= DP.Extent;
-  }
-  return static_cast<unsigned>(R);
 }

@@ -5,30 +5,36 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The bytecode execution engine: a load-time lowering pass that walks a
-/// compiled SpmdProgram once and produces a flat, fully pre-resolved plan,
-/// plus the executor that runs it. Lowering resolves array names to dense
-/// ids with cached stores and precomputed strides (subscript tuples become
-/// one fused flatten expression), compiles every Expr to postfix bytecode
-/// (Bytecode.h) with run-constant slots folded, drops statically dead
-/// guards and loops, and precomputes the per-dimension virtual-processor
-/// mapping with block sizes bound to constants.
+/// The lowered node program and the one executor that runs it. Lowering
+/// walks a compiled SpmdProgram once and produces a flat, fully
+/// pre-resolved plan: array names become dense ids with cached stores and
+/// precomputed strides (subscript tuples become one fused flatten
+/// expression), every Expr becomes postfix bytecode (Bytecode.h) with
+/// run-constant slots folded, statically dead guards and loops are
+/// dropped, and the per-dimension virtual-processor mapping is
+/// precomputed with block sizes bound to constants.
 ///
-/// The executor preserves the tree interpreter's observable behaviour
+/// The plan runs in three layers:
+///
+///  - LoadedPlan, one per process: the plan, its array stores, and one
+///    loaded native kernel table when the native engine is selected;
+///  - RankCore, one per processor rank: the paper's node program — the
+///    Figure 4 send / compute localIters / recv schedule driven by the
+///    Figure 3 comm sets — with element access through per-rank overlay
+///    and pending stores, cached sorted per-partner element lists,
+///    zero-copy span packing where the Section 3.3 analysis proved (or the
+///    runtime check upgraded) contiguity, and compute through the native
+///    kernel or the bytecode walk;
+///  - a driver that moves payloads between cores: PlanExecutor here, for
+///    all ranks in one process on the simulated machine, and rt::RankEngine
+///    for one rank per OS process over a net::Transport.
+///
+/// PlanExecutor preserves the tree interpreter's observable behaviour
 /// bit-for-bit (array state, message traffic, simulated clocks, violation
-/// reports) while restructuring the hot paths:
-///
-///  - per-partner element lists are sorted flat vectors (dedup by
-///    sort+unique instead of per-element ordered-set insertion), built once
-///    and reused across time steps when the event's loop nest does not
-///    depend on a sequential loop variable;
-///  - packing is zero-copy where the Section 3.3 analysis proved (or the
-///    runtime check upgraded) contiguity: a message is a base + count span
-///    of the array store, gathered and applied with std::copy;
-///  - independent processor ranks of an event run in parallel on a
-///    ThreadPool, with all shared-state mutation (simulator clocks, payload
-///    queues, violations) replayed in processor order afterwards, so the
-///    result is identical for any thread count.
+/// reports). Independent processor ranks of an event run in parallel on a
+/// ThreadPool, with all shared-state mutation (simulator clocks, payload
+/// queues, violations) replayed in processor order afterwards, so the
+/// result is identical for any thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,16 +43,24 @@
 
 #include "spmd/Bytecode.h"
 #include "spmd/Interp.h"
+#include "spmd/KernelABI.h"
 #include "spmd/SpmdProgram.h"
 #include "support/ThreadPool.h"
 
+#include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <queue>
+#include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 namespace dhpf {
+namespace obs {
+class TraceBuffer;
+} // namespace obs
 namespace spmd {
 
 /// One lowered guard atom; Kind/Mod mirror cg::GuardAtom.
@@ -115,6 +129,7 @@ struct PlanNode {
   unsigned SeqSlot = 0;
   bc::Prog SeqLo, SeqHi;
   // Compute
+  std::string NestName; // names the rank runtime's compute:<nest> span
   PlanAst Loops;
   /// Every written array has full per-element ownership, so distinct ranks
   /// touch distinct elements and may run concurrently.
@@ -127,8 +142,8 @@ struct PlanNode {
   uint64_t RedBytes = 8;
   double RedCost = 1.0;
   /// Native-engine kernel indices, assigned by buildExecPlan in preorder
-  /// (every Compute/Reduce node gets one, so the i-th Compute SpmdNode in
-  /// preorder maps to compute kernel i — rt::RankEngine relies on this).
+  /// (every Compute/Reduce node gets one); the emitted kernel table is
+  /// indexed by them, and every executor dispatches through the node.
   int32_t NativeComputeId = -1; // Compute
   int32_t NativeReduceId = -1;  // Reduce
   std::vector<PlanNode> Children;
@@ -154,8 +169,8 @@ struct ExecPlan {
   unsigned StackDepth = 1; // max bytecode stack depth over the whole plan
 };
 
-/// Everything lowering needs from an execution context. Both in-process
-/// engines (via the Interpreter) and the distributed rank runtime
+/// Everything lowering needs from an execution context. The in-process
+/// executor (via the Interpreter) and the distributed rank runtime
 /// (rt::RankEngine) build plans from the same inputs, so a plan — and the
 /// native kernel source generated from it — is identical wherever it is
 /// built, which is what lets every rank of a launch share one kernel-cache
@@ -178,9 +193,191 @@ struct PlanBuild {
 /// identical inputs produce an identical plan.
 PlanBuild buildExecPlan(const SpmdProgram &Prog, const PlanBuildInputs &In);
 
-/// Runs one lowered plan against an Interpreter's state (arrays,
-/// environments, simulated machine). Built by the Interpreter constructor
-/// when the bytecode engine is selected.
+/// The part of a plan run shared by every rank core in one process: the
+/// lowered plan, the array stores it addresses by dense id, the statement
+/// semantics, and — for the native engine — one loaded kernel table. The
+/// in-process executor shares one between its NP cores; a distributed rank
+/// owns one for its single core.
+class LoadedPlan {
+public:
+  /// Lowers \p Prog against \p In (see buildExecPlan). \p SecPerWork
+  /// prices one statement work unit on the simulated clock.
+  LoadedPlan(const SpmdProgram &Prog, const PlanBuildInputs &In,
+             double SecPerWork);
+
+  /// Compiles the plan's kernels through the kernel cache and loads them.
+  /// When no compiler is usable this prints one "falling back" note
+  /// (prefixed by \p Who) to stderr, bumps spmd.native.fallbacks, and
+  /// leaves every core on bytecode dispatch.
+  void setupNative(obs::TraceBuffer *Trace, const std::string &Who = "");
+
+  /// Resolves statement semantics by statement id; call before running.
+  void bindSemantics(const std::map<int, StmtFn> &Semantics);
+
+  const ExecPlan &plan() const { return Plan; }
+  ArrayStore &store(uint32_t A) const { return *Stores[A]; }
+  /// The loaded kernel table; null on bytecode dispatch.
+  const DhpfKernelTable *kernels() const { return Kernels; }
+
+private:
+  friend class RankCore;
+  ExecPlan Plan;
+  std::vector<ArrayStore *> Stores; // by array id
+  std::vector<const StmtFn *> Sems; // by statement id
+  const DhpfKernelTable *Kernels = nullptr;
+  // The DhpfCtx-facing per-array tables (array shapes are fixed before
+  // the plan is built).
+  std::vector<double *> Data;
+  std::vector<const int32_t *> Owner;
+  std::vector<int64_t> Size;
+  /// Per-leaf Cost * SecPerWork: both the kernel and the bytecode walk add
+  /// this one precomputed product per statement instance, exactly
+  /// sim::Machine::addCompute's arithmetic, so simulated clocks stay
+  /// bit-identical.
+  std::vector<double> LeafCostSec;
+  unsigned MaxReads = 1;
+};
+
+/// One processor rank's execution of a LoadedPlan: element access through
+/// the rank's overlay (received values) and pending (non-local writes)
+/// stores, per-partner element lists of each comm event, payload packing
+/// and unpacking, compute nests, and the validity checks that verify the
+/// communication analysis at run time. Every decision of the node program
+/// lives here once; the drivers only move payloads — PlanExecutor through
+/// in-memory queues for all ranks of one process, rt::RankEngine through a
+/// net::Transport for one rank per process.
+///
+/// The core's DhpfCtx is its whole dispatch state: the native kernels and
+/// the bytecode walk read and bump the same clock, statement counter and
+/// progress counter, so both engines pump the Figure 4 overlap window
+/// (ProgressEvery) at the same statement instances.
+class RankCore {
+public:
+  /// One partner's sorted, deduplicated element list for one event side.
+  struct PartnerList {
+    unsigned Q = 0;
+    std::shared_ptr<std::vector<int64_t>> Flats; // sorted, unique
+    int64_t Base = 0;
+    bool Contig = false;
+    enum class OwnClass : uint8_t { AllLocal, NoneLocal, Mixed } Own =
+        OwnClass::AllLocal;
+  };
+  /// A delivered payload: \p Flats is null for a contiguous payload, whose
+  /// elements are [Base, Base + Count).
+  struct PayloadView {
+    const int64_t *Flats = nullptr;
+    int64_t Base = 0;
+    const double *Vals = nullptr;
+    size_t Count = 0;
+  };
+
+  /// \p Env, \p Accums and \p Clock belong to the executing rank and must
+  /// outlive the core.
+  RankCore(LoadedPlan &L, unsigned Me, unsigned NP, std::vector<int64_t> &Env,
+           AccumMap &Accums, bool CheckValidity, double *Clock);
+  RankCore(const RankCore &) = delete;
+  RankCore &operator=(const RankCore &) = delete;
+
+  /// Calls \p Fn every \p Every statement instances inside compute nests,
+  /// continuing the count across nests (in-process: never).
+  void pumpEvery(uint64_t Every, std::function<void()> Fn);
+
+  /// Evaluates \p P over this rank's environment.
+  int64_t eval(const bc::Prog &P);
+
+  /// Runs this rank's iterations of a compute nest.
+  void compute(const PlanNode &N);
+
+  /// This rank's per-partner element lists for one side of \p EP, in
+  /// first-appearance partner order; cached when the event is Cacheable.
+  const std::vector<PartnerList> &lists(const EventPlan &EP, bool RecvSide);
+
+  /// A contiguous run of locally-owned storage: the Section 3.3 shape,
+  /// sent straight from the array store.
+  static bool isSpan(const PartnerList &PL) {
+    return PL.Contig && PL.Own == PartnerList::OwnClass::AllLocal;
+  }
+
+  /// Gathers the values of one send-side list into \p Out (PL's count
+  /// wide): a span copy, an owned gather, or an element-wise pack that
+  /// forwards pending non-local writes.
+  void pack(const EventPlan &EP, const PartnerList &PL, double *Out);
+
+  /// Applies a payload received for the recv-side list \p PL, checking it
+  /// against the expectation.
+  void unpack(const EventPlan &EP, const PartnerList &PL,
+              const PayloadView &Pay);
+
+  void violation(std::string Msg) {
+    if (Viol.size() < MaxViolations)
+      Viol.push_back(std::move(Msg));
+  }
+
+  /// Hands the buffered violations to \p Sink in order, then returns the
+  /// statement instances run since the previous drain; both reset.
+  template <typename SinkFn> uint64_t drain(SinkFn &&Sink) {
+    for (const std::string &M : Viol)
+      Sink(M);
+    Viol.clear();
+    uint64_t N = Stmts;
+    Stmts = 0;
+    return N;
+  }
+
+private:
+  struct SideCache {
+    bool Built = false;
+    std::vector<PartnerList> Partners;
+  };
+  static constexpr size_t MaxViolations = 20;
+
+  LoadedPlan &L;
+  const ExecPlan &Plan;
+  const unsigned Me;
+  std::vector<int64_t> &Env;
+  AccumMap &Accums;
+  const bool CheckValidity;
+  DhpfCtx Ctx = {};
+  std::function<void()> OnProgress;
+  std::exception_ptr ProgressError; ///< thrown by OnProgress mid-nest
+  uint64_t Stmts = 0;
+  std::vector<std::string> Viol;
+
+  std::vector<int64_t> Stack;
+  std::vector<double> Reads, ReadBuf;
+  /// Raw (partner, flat) enumeration, split into parallel arrays so the
+  /// native event kernels fill them directly through the DhpfCtx pair
+  /// buffer. In native mode the vectors are capacity storage and RawLen is
+  /// the element count; in bytecode mode RawLen == size().
+  std::vector<uint32_t> RawQ;
+  std::vector<int64_t> RawF;
+  size_t RawLen = 0;
+  std::vector<int32_t> PartnerPos;
+  std::vector<PartnerList> Lists; // rebuilt lists (uncacheable events)
+  std::vector<SideCache> SendCache, RecvCache; // by event id
+  /// Received non-local values and pending non-local writes, by array id.
+  std::vector<std::unordered_map<int64_t, double>> Overlay, Pending;
+
+  double read(uint32_t A, int64_t Flat);
+  void write(uint32_t A, int64_t Flat, double V);
+  double stmt(int32_t Leaf);
+  void walkCompute(const PlanNode &N); ///< the bytecode compute walk
+  void buildLists(const PlanAst &A, const EventPlan &EP,
+                  std::vector<PartnerList> &Out, bool RecvSide);
+
+  // Native-kernel callbacks (DhpfCtx::Host is the core).
+  static double readSlowCb(DhpfCtx *C, int32_t A, int64_t F);
+  static void writeSlowCb(DhpfCtx *C, int32_t A, int64_t F, double V);
+  static double stmtCb(DhpfCtx *C, int32_t Leaf, int32_t N);
+  static void progressCb(DhpfCtx *C);
+  static void growPairsCb(DhpfCtx *C);
+};
+
+/// Runs all ranks of one lowered plan in process, against an
+/// Interpreter's state (arrays, environments, simulated machine): NP
+/// RankCores over one LoadedPlan, with in-memory payload queues as the
+/// transport. Built by the Interpreter constructor when the bytecode or
+/// native engine is selected.
 class PlanExecutor {
 public:
   /// \p Engine must be Bytecode or Native. Native compiles the plan's hot
@@ -193,53 +390,16 @@ public:
   RunResult run();
 
 private:
-  /// A message payload: sorted unique flat indices plus values. Contiguous
-  /// payloads carry no index vector — the span [Base, Base+Vals.size())
-  /// is implicit.
+  /// A message payload. Contiguous payloads carry no index vector — the
+  /// span [Base, Base+Vals.size()) is implicit.
   struct Payload {
     std::shared_ptr<const std::vector<int64_t>> Flats; // null when Contig
     std::vector<double> Vals;
     int64_t Base = 0;
-    bool Contig = false;
     /// Gathered as a contiguous span of locally-owned storage (the
     /// Section 3.3 shape) — feeds RunResult::SpanCopies.
     bool Span = false;
     size_t count() const { return Vals.size(); }
-  };
-
-  /// One partner's cached element list for one (event, proc) side.
-  struct PartnerList {
-    unsigned Q = 0;
-    std::shared_ptr<std::vector<int64_t>> Flats; // sorted, unique
-    int64_t Base = 0;
-    bool Contig = false;
-    enum class OwnClass : uint8_t { AllLocal, NoneLocal, Mixed } Own =
-        OwnClass::AllLocal;
-  };
-  struct SideCache {
-    bool Built = false;
-    std::vector<PartnerList> Partners;
-  };
-
-  /// Per-processor scratch, reused across events (parallel phases write
-  /// only their own entry).
-  struct Scratch {
-    std::vector<int64_t> Stack;
-    std::vector<double> Reads;
-    /// Raw (partner, flat) enumeration, split into parallel arrays so the
-    /// native event kernels can fill them directly through the DhpfCtx
-    /// pair buffer. In native mode the vectors are capacity storage and
-    /// RawLen is the element count; in bytecode mode RawLen == size().
-    std::vector<uint32_t> RawQ;
-    std::vector<int64_t> RawF;
-    size_t RawLen = 0;
-    std::vector<int32_t> PartnerPos;
-    std::vector<PartnerList> Lists; // rebuilt lists (uncacheable events)
-    std::vector<Payload> Out;
-    std::vector<unsigned> OutQ;
-    std::vector<std::string> Viol;
-    uint64_t Stmts = 0;
-    double ComputeWork = 0;
   };
 
   const SpmdProgram &Prog;
@@ -248,54 +408,23 @@ private:
   /// Node-dispatch counts by SpmdNode::Kind, flushed to the obs registry
   /// ("spmd.bytecode.dispatch.*") once at the end of run().
   uint64_t Dispatch[6] = {};
-  ExecPlan Plan;
+  LoadedPlan L;
+  std::vector<std::unique_ptr<RankCore>> Cores; // by processor
   std::unique_ptr<ThreadPool> Pool;
-  std::map<std::string, uint32_t> ArrayIds;
-  std::vector<ArrayStore *> Stores;   // by array id
-  std::vector<const StmtFn *> Sems;   // by stmt id, resolved at run()
-  std::vector<Scratch> PerProc;
-  std::vector<std::vector<SideCache>> SendCache, RecvCache; // [event][proc]
-  /// Engine-private overlay/pending stores indexed [proc][array id]
-  /// (the tree engine's string-keyed maps stay untouched).
-  std::vector<std::vector<std::unordered_map<int64_t, double>>> OvV, PdV;
+  /// Per-processor staged sends (partner, payload), reused across events.
+  std::vector<std::vector<std::pair<unsigned, Payload>>> Out;
   std::map<std::tuple<unsigned, unsigned, int>, std::queue<Payload>>
       Payloads;
 
-  /// Native-engine state: the loaded kernel table plus one DhpfCtx per
-  /// processor rank (defined in ExecPlan.cpp; null when the engine is
-  /// bytecode or the native setup fell back).
-  struct NativeState;
-  std::unique_ptr<NativeState> Native;
-  void setupNative();
-  /// Statement-semantics trampoline target for native kernels (member so
-  /// it retains the executor's friend access to the Interpreter).
-  double nativeStmt(unsigned P, int32_t Leaf, int32_t N,
-                    const double *Reads);
-
-  // Execution.
   void runNode(const PlanNode &N);
   void runCompute(const PlanNode &N);
   void runSend(const PlanNode &N);
   void runRecv(const PlanNode &N);
   void runReduce(const PlanNode &N);
   template <typename Fn> void forProcs(bool Parallel, Fn &&F);
-  void mergeScratch();
-
-  template <typename LeafFn>
-  void walk(const PlanAst &A, uint32_t Idx, int64_t *Regs, int64_t *Stack,
-            const LeafFn &F) const;
-  template <typename LeafFn>
-  void walkAll(const PlanAst &A, int64_t *Regs, int64_t *Stack,
-               const LeafFn &F) const;
-  bool guardHolds(const PlanGuard &G, const int64_t *Regs,
-                  int64_t *Stack) const;
-
-  bool isRealVP(const int64_t *PT) const;
-  unsigned rankOfPartner(const int64_t *PT) const;
-  void buildLists(const PlanAst &A, const EventPlan &EP, unsigned P,
-                  std::vector<PartnerList> &Lists, bool RecvSide);
-  double readFast(unsigned P, uint32_t AId, int64_t Flat, Scratch &S);
-  void writeFast(unsigned P, uint32_t AId, int64_t Flat, double V);
+  /// Replays processor \p P's buffered violations and statement count
+  /// into the shared result.
+  void drain(unsigned P);
 };
 
 } // namespace spmd

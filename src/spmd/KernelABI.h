@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The binary contract between the host engines (PlanExecutor,
-/// rt::RankEngine) and the native kernels NativeGen emits and KernelCache
-/// compiles with the system C compiler. The declarations live in the
-/// DHPF_KERNEL_ABI_DECLS macro so there is exactly one source of truth:
-/// this header expands it for the C++ host, and NativeGen stringizes the
-/// same macro into the preamble of every generated translation unit.
+/// The binary contract between the host (spmd::RankCore, the per-rank
+/// plan executor that in-process and distributed runs both drive) and the
+/// native kernels NativeGen emits and KernelCache compiles with the system
+/// C compiler. The declarations live in the DHPF_KERNEL_ABI_DECLS macro so
+/// there is exactly one source of truth: this header expands it for the
+/// C++ host, and NativeGen stringizes the same macro into the preamble of
+/// every generated translation unit.
 ///
 /// Kernels see the world through DhpfCtx: raw array storage with
 /// per-element ownership for the inline fast path, callbacks for the slow

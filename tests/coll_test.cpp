@@ -91,19 +91,19 @@ void expectBitEqual(double A, double B, const std::string &What) {
       << What << ": " << A << " vs " << B;
 }
 
-const Algo AllAlgos[] = {Algo::Naive, Algo::Ring, Algo::Rdbl, Algo::Tree};
+const Algo AllAlgos[] = {Algo::Naive, Algo::Rdbl, Algo::Tree};
 
 //===----------------------------------------------------------------------===//
 // Algorithm selection
 //===----------------------------------------------------------------------===//
 
 TEST(CollAlgo, ParseRoundTripsEveryName) {
-  for (Algo A : {Algo::Naive, Algo::Ring, Algo::Rdbl, Algo::Tree, Algo::Auto})
+  for (Algo A : {Algo::Naive, Algo::Rdbl, Algo::Tree, Algo::Auto})
     EXPECT_EQ(parseAlgo(algoName(A)), A);
 }
 
 TEST(CollAlgo, ParseRejectsTypos) {
-  for (const char *Bad : {"", "Naive", "ringg", "rd", "butterfly"})
+  for (const char *Bad : {"", "Naive", "ring", "rd", "butterfly"})
     EXPECT_THROW(parseAlgo(Bad), net::TransportError) << Bad;
 }
 
@@ -112,8 +112,8 @@ TEST(CollAlgo, EnvDefaultsToAuto) {
   std::string Saved = Old ? Old : "";
   unsetenv("DHPF_COLL");
   EXPECT_EQ(algoFromEnv(), Algo::Auto);
-  setenv("DHPF_COLL", "ring", 1);
-  EXPECT_EQ(algoFromEnv(), Algo::Ring);
+  setenv("DHPF_COLL", "tree", 1);
+  EXPECT_EQ(algoFromEnv(), Algo::Tree);
   if (Old)
     setenv("DHPF_COLL", Saved.c_str(), 1);
   else
@@ -125,7 +125,7 @@ TEST(CollAlgo, AutoResolvesByMeshSize) {
   EXPECT_EQ(resolveAlgo(Algo::Auto, 2), Algo::Naive);
   EXPECT_EQ(resolveAlgo(Algo::Auto, 4), Algo::Rdbl);
   EXPECT_EQ(resolveAlgo(Algo::Auto, 8), Algo::Rdbl);
-  EXPECT_EQ(resolveAlgo(Algo::Ring, 8), Algo::Ring);
+  EXPECT_EQ(resolveAlgo(Algo::Tree, 8), Algo::Tree);
 }
 
 //===----------------------------------------------------------------------===//
@@ -189,8 +189,7 @@ TEST(CollSchedule, MaxPerRankFramesMatchTheAdvertisedCounts) {
   struct {
     Algo A;
     uint64_t Expect;
-  } Cases[] = {{Algo::Naive, 14}, {Algo::Ring, 14}, {Algo::Rdbl, 6},
-               {Algo::Tree, 6}};
+  } Cases[] = {{Algo::Naive, 14}, {Algo::Rdbl, 6}, {Algo::Tree, 6}};
   for (const auto &[A, Expect] : Cases) {
     std::vector<RankOutcome> Out = runAllreduce(A, NP, C, Op::Sum);
     for (const RankOutcome &O : Out)
@@ -199,16 +198,13 @@ TEST(CollSchedule, MaxPerRankFramesMatchTheAdvertisedCounts) {
   }
 }
 
-TEST(CollSchedule, RingIsUniformNaiveBottlenecksRankZero) {
+TEST(CollSchedule, NaiveBottlenecksRankZero) {
   const unsigned NP = 8;
   std::vector<double> C = spikyContributions(NP);
   std::vector<RankOutcome> Naive = runAllreduce(Algo::Naive, NP, C, Op::Sum);
   EXPECT_EQ(Naive[0].St.Messages, 14u);
   for (unsigned R = 1; R != NP; ++R)
     EXPECT_EQ(Naive[R].St.Messages, 2u) << "rank " << R;
-  std::vector<RankOutcome> Ring = runAllreduce(Algo::Ring, NP, C, Op::Sum);
-  for (unsigned R = 0; R != NP; ++R)
-    EXPECT_EQ(Ring[R].St.Messages, 14u) << "rank " << R;
 }
 
 TEST(CollSchedule, LogSchedulesBeatNaiveBottleneckAtP8) {

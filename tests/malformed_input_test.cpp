@@ -6,7 +6,8 @@
 ///
 /// \file
 /// A corpus of malformed inputs for every textual front end — mini-HPF
-/// programs, set/relation text, and serialized SPMD programs. Each case
+/// programs, set/relation text, serialized SPMD programs, and run
+/// parameters. Each case
 /// must be rejected with an error diagnostic on the expected line, without
 /// crashing and without asserting, so the behavior is identical in Debug
 /// and Release builds (this file is part of the Release CI job). A
@@ -17,6 +18,7 @@
 #include "core/CompilerDriver.h"
 #include "hpf/HpfParser.h"
 #include "pset/Relation.h"
+#include "rt/Session.h"
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
@@ -220,6 +222,24 @@ TEST(MalformedInput, EveryFailureIsDiagnosed) {
                                  Diags);
   EXPECT_FALSE(static_cast<bool>(P2));
   EXPECT_GE(Diags.errorCount(), 2u);
+}
+
+/// A run parameter the program does not declare is an error naming it,
+/// not a silently ignored binding: every front end (`dhpfc run`, `launch`,
+/// `place`, the daemon, `dhpf_rt`) resolves through rt::resolveSession.
+TEST(MalformedInput, UnknownRunParameter) {
+  hpf::Program P("ptest");
+  P.addParam("N");
+  spmd::SpmdProgram SP;
+  SP.Source = &P;
+  std::string Err;
+  EXPECT_TRUE(rt::checkParams(SP, {{"N", 8}}, Err)) << Err;
+
+  rt::SessionOptions SO;
+  SO.Params = {{"N", 8}, {"BOGUS", 3}};
+  EXPECT_FALSE(rt::resolveSession(SP, SO, Err));
+  EXPECT_NE(Err.find("unknown parameter 'BOGUS'"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("declared: N"), std::string::npos) << Err;
 }
 
 } // namespace

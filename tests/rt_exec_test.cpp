@@ -201,7 +201,7 @@ TEST(RtExec, CollectiveAlgorithmsBitIdenticalAtP8) {
   ASSERT_TRUE(Ref.Valid);
 
   std::map<std::string, uint64_t> MaxRankFrames;
-  for (const char *Algo : {"naive", "ring", "rdbl", "tree"}) {
+  for (const char *Algo : {"naive", "rdbl", "tree"}) {
     setenv("DHPF_COLL", Algo, 1);
     rt::MergedRun Loop = runDistributed(SP, S.App, RC, Mesh::Loopback);
     expectBitIdentical(Loop, Ref, I);

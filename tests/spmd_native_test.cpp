@@ -21,13 +21,19 @@
 //     identical native run is served entirely from cache (hits move,
 //     misses and compile invocations do not).
 //
+//  4. The progress pump of a rank core: an error it raises inside a
+//     compute nest surfaces after the nest, never through kernel frames.
+//
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
 #include "core/Compiler.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "spmd/Bytecode.h"
+#include "spmd/ExecPlan.h"
 #include "spmd/KernelCache.h"
+#include "spmd/Layout.h"
 #include "spmd/NativeGen.h"
 
 #include <gtest/gtest.h>
@@ -35,6 +41,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -258,6 +266,68 @@ TEST(KernelCache, WarmRunCompilesNothing) {
   EXPECT_EQ(counterVal("spmd.kernel.compile.invocations"), Compiles1);
 
   ::unsetenv("DHPF_KERNEL_CACHE");
+}
+
+/// Collects the statement semantics an app registers.
+struct SemanticsSink : ProgramHost {
+  std::map<int, StmtFn> Sems;
+  void setSemantics(int Id, StmtFn Fn) override { Sems[Id] = std::move(Fn); }
+  void initArray(const std::string &,
+                 const std::function<double(const std::vector<int64_t> &)>
+                     &) override {}
+};
+
+const PlanNode *firstCompute(const PlanNode &N) {
+  if (N.K == SpmdNode::Kind::Compute)
+    return &N;
+  for (const PlanNode &C : N.Children)
+    if (const PlanNode *F = firstCompute(C))
+      return F;
+  return nullptr;
+}
+
+// The progress callback runs inside compiled C frames (and the bytecode
+// walk): a transport error it throws is parked, pumping stops, the nest
+// finishes, and compute() rethrows it — under both dispatch paths.
+TEST(RankCore, ProgressErrorSurfacesAfterTheNest) {
+  apps::AppInstance App = apps::makeJacobi(12, 2);
+  auto Compiled = core::compileProgram(*App.Prog);
+  ASSERT_TRUE(Compiled);
+  const SpmdProgram &SP = Compiled->Program;
+  RunConfig RC;
+  RC.ProcExtents = {{App.ProcArrayName, {1, 1}}};
+  ProgramLayout Lay = resolveLayout(SP, RC);
+  std::map<std::string, ArrayStore> Arrays = buildArrayStores(SP, RC, Lay);
+  unsigned Upgrades = 0;
+  std::vector<char> InPlace = resolveEventInPlace(SP, Lay, Upgrades);
+  SemanticsSink Sink;
+  App.Setup(Sink);
+
+  for (bool Native : {false, true}) {
+    if (Native && !native::KernelCache::global().compilerAvailable())
+      continue;
+    LoadedPlan L(SP, {&Arrays, &Lay.AllBindings, &Lay.ProcShape, &InPlace},
+                 RC.Machine.SecPerWork);
+    if (Native) {
+      L.setupNative(&obs::TraceBuffer::global());
+      ASSERT_NE(L.kernels(), nullptr);
+    }
+    L.bindSemantics(Sink.Sems);
+    std::vector<int64_t> Env = initialEnv(SP, Lay, 0);
+    AccumMap Accums;
+    double Clock = 0;
+    RankCore Core(L, 0, 1, Env, Accums, /*CheckValidity=*/true, &Clock);
+    unsigned Pumps = 0;
+    Core.pumpEvery(1, [&] {
+      ++Pumps;
+      throw std::runtime_error("pump failed");
+    });
+    const PlanNode *N = firstCompute(L.plan().Root);
+    ASSERT_NE(N, nullptr);
+    EXPECT_THROW(Core.compute(*N), std::runtime_error) << Native;
+    EXPECT_EQ(Pumps, 1u) << Native;
+    EXPECT_GT(Core.drain([](const std::string &) {}), 1u) << Native;
+  }
 }
 
 } // namespace

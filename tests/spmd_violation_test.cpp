@@ -8,7 +8,9 @@
 // correct stencil, then *break* the compiled program — strip receives,
 // strip sends, deliver twice, inflate the receiver's expectation — and
 // check that each violation path fires, with identical diagnostics from the
-// tree and bytecode engines.
+// tree and bytecode engines. The broken programs that cannot block also run
+// as 4 distributed ranks over the loopback mesh, whose diagnostics must
+// include every in-process message.
 //
 // Broken programs may read elements whose values depend on execution order,
 // so these runs pin ExecThreads = 1 (the determinism contract only covers
@@ -17,6 +19,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "net/Loopback.h"
+#include "rt/RankEngine.h"
 #include "spmd/Interp.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace dhpf;
@@ -56,20 +61,61 @@ Program stencilProgram() {
   return P;
 }
 
+void setupStencil(ProgramHost &H) {
+  H.setSemantics(0, [](const std::vector<double> &R,
+                       const std::vector<int64_t> &, AccumMap &) {
+    return R[0] + R[1];
+  });
+  H.initArray("B", [](const std::vector<int64_t> &Idx) {
+    return double(Idx[0] * Idx[0]);
+  });
+}
+
 RunResult runBroken(const SpmdProgram &SP, EngineKind Engine) {
   RunConfig RC;
   RC.ProcExtents = {{"P", {4}}};
   RC.Engine = Engine;
   RC.ExecThreads = 1; // broken programs are only deterministic sequentially
   Interpreter I(SP, RC);
-  I.setSemantics(0, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &) {
-    return R[0] + R[1];
-  });
-  I.initArray("B", [](const std::vector<int64_t> &Idx) {
-    return double(Idx[0] * Idx[0]);
-  });
+  setupStencil(I);
   return I.run();
+}
+
+/// Runs \p SP as 4 rank engines over the loopback mesh (engine from
+/// DHPF_SPMD_ENGINE) and returns every rank's violations, rank by rank.
+std::vector<std::string> runBrokenDistributed(const SpmdProgram &SP) {
+  RunConfig RC;
+  RC.ProcExtents = {{"P", {4}}};
+  net::LoopbackMesh Mesh(4);
+  std::vector<RunResult> Results(4);
+  std::vector<std::string> Errs(4);
+  std::vector<std::thread> Ts;
+  for (unsigned R = 0; R != 4; ++R)
+    Ts.emplace_back([&, R] {
+      try {
+        auto T = Mesh.transport(R);
+        rt::RankConfig RCfg;
+        RCfg.Run = RC;
+        RCfg.Rank = R;
+        rt::RankEngine E(SP, RCfg, *T);
+        setupStencil(E);
+        Results[R] = E.run();
+      } catch (const std::exception &Ex) {
+        Errs[R] = Ex.what();
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  std::vector<std::string> All;
+  bool Valid = true;
+  for (unsigned R = 0; R != 4; ++R) {
+    EXPECT_EQ(Errs[R], "") << "rank " << R;
+    Valid &= Results[R].Valid;
+    All.insert(All.end(), Results[R].Violations.begin(),
+               Results[R].Violations.end());
+  }
+  EXPECT_FALSE(Valid);
+  return All;
 }
 
 bool anyContains(const std::vector<std::string> &Msgs,
@@ -82,8 +128,11 @@ bool anyContains(const std::vector<std::string> &Msgs,
 
 /// Applies \p Mutate to a freshly compiled stencil, runs it under both
 /// engines, asserts identical diagnostics, and returns the violations.
+/// With \p Distributed, the 4-rank run must also report every in-process
+/// violation message.
 std::vector<std::string>
-runMutated(const std::function<void(SpmdProgram &)> &Mutate) {
+runMutated(const std::function<void(SpmdProgram &)> &Mutate,
+           bool Distributed = false) {
   Program P = stencilProgram();
   auto Compiled = compileProgram(P);
   EXPECT_TRUE(Compiled);
@@ -97,6 +146,13 @@ runMutated(const std::function<void(SpmdProgram &)> &Mutate) {
   EXPECT_EQ(Tree.Messages, Byte.Messages);
   EXPECT_EQ(Tree.Bytes, Byte.Bytes);
   EXPECT_EQ(Tree.StmtInstances, Byte.StmtInstances);
+  if (Distributed) {
+    std::vector<std::string> Dist = runBrokenDistributed(Compiled->Program);
+    for (const std::string &M : Tree.Violations)
+      EXPECT_NE(std::find(Dist.begin(), Dist.end(), M), Dist.end())
+          << "distributed run lacks: " << M << "\n"
+          << testing::PrintToString(Dist);
+  }
   return Tree.Violations;
 }
 
@@ -153,16 +209,17 @@ void widenInnermostLoops(cg::AstNode &N) {
 // Reads of non-local elements with the receive removed: the validity check
 // must flag every such read, and the undelivered sends must be reported.
 TEST(SpmdViolation, MissingRecvBeforeNonLocalRead) {
-  std::vector<std::string> V = runMutated([](SpmdProgram &SP) {
-    stripNodes(*SP.Root, SpmdNode::Kind::Recv);
-  });
+  std::vector<std::string> V = runMutated(
+      [](SpmdProgram &SP) { stripNodes(*SP.Root, SpmdNode::Kind::Recv); },
+      /*Distributed=*/true);
   EXPECT_TRUE(anyContains(V, "read unreceived element")) << testing::PrintToString(V);
   EXPECT_TRUE(anyContains(V, "unconsumed messages remain"))
       << testing::PrintToString(V);
 }
 
 // Receives with the matching send removed: every expectation is an
-// un-sent message.
+// un-sent message. (In-process only: a distributed rank would block on the
+// missing message until the transport watchdog fires.)
 TEST(SpmdViolation, MissingSend) {
   std::vector<std::string> V = runMutated([](SpmdProgram &SP) {
     stripNodes(*SP.Root, SpmdNode::Kind::Send);
@@ -174,9 +231,9 @@ TEST(SpmdViolation, MissingSend) {
 // Double delivery: each message sent twice, consumed once — the duplicate
 // payloads must be detected as unconsumed.
 TEST(SpmdViolation, DoubleDelivery) {
-  std::vector<std::string> V = runMutated([](SpmdProgram &SP) {
-    duplicateNodes(*SP.Root, SpmdNode::Kind::Send);
-  });
+  std::vector<std::string> V = runMutated(
+      [](SpmdProgram &SP) { duplicateNodes(*SP.Root, SpmdNode::Kind::Send); },
+      /*Distributed=*/true);
   EXPECT_TRUE(anyContains(V, "unconsumed messages remain"))
       << testing::PrintToString(V);
 }
@@ -185,11 +242,13 @@ TEST(SpmdViolation, DoubleDelivery) {
 // by one element, so every arriving message is smaller than expected and
 // misses an element.
 TEST(SpmdViolation, UnexpectedMessageContents) {
-  std::vector<std::string> V = runMutated([](SpmdProgram &SP) {
-    for (CommEvent &Ev : SP.Events)
-      if (Ev.RecvLoops)
-        widenInnermostLoops(*Ev.RecvLoops);
-  });
+  std::vector<std::string> V = runMutated(
+      [](SpmdProgram &SP) {
+        for (CommEvent &Ev : SP.Events)
+          if (Ev.RecvLoops)
+            widenInnermostLoops(*Ev.RecvLoops);
+      },
+      /*Distributed=*/true);
   EXPECT_TRUE(anyContains(V, "message size mismatch"))
       << testing::PrintToString(V);
   EXPECT_TRUE(anyContains(V, "expected element missing from message"))

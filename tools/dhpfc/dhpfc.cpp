@@ -122,8 +122,8 @@ int usage(const char *Argv0) {
          "file, or 'auto'\n"
       << "                       to reserve loopback ports (default: unix "
          "sockets)\n"
-      << "  --coll=<algo>        reduction collective: naive | ring | rdbl "
-         "| tree | auto\n"
+      << "  --coll=<algo>        reduction collective: naive | rdbl | tree "
+         "| auto\n"
       << "                       (default DHPF_COLL or auto)\n"
       << "  --timeout-ms=<n>     per-launch deadline (default "
          "DHPF_LAUNCH_TIMEOUT_MS or 60000)\n"
@@ -164,7 +164,7 @@ int printVersion() {
               << "' unusable; native falls back to bytecode)";
   std::cout << "\n"
             << "  transports: loopback unix-socket tcp\n"
-            << "  collectives: naive ring rdbl tree\n"
+            << "  collectives: naive rdbl tree\n"
             << "  kernel cache: "
             << (Dir.empty() ? "disabled (in-memory only)" : Dir) << "\n";
   return 0;
@@ -335,7 +335,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         coll::parseAlgo(V);
       } catch (const net::TransportError &) {
         std::cerr << "dhpfc: unknown collective '" << V
-                  << "' (want naive|ring|rdbl|tree|auto)\n";
+                  << "' (want naive|rdbl|tree|auto)\n";
         return false;
       }
       O.Coll = V;
@@ -539,8 +539,11 @@ void printRunHeader(const rt::Session &S, const char *How) {
   std::cout << ", " << How << "\n";
 }
 
-void printRunStats(const spmd::RunResult &RR) {
-  std::cout << "  simulated time: " << RR.ElapsedSeconds
+/// \p TimeLabel names what ElapsedSeconds measures: the simulated
+/// machine's clock in process, the slowest rank's wall clock after a
+/// launch.
+void printRunStats(const spmd::RunResult &RR, const char *TimeLabel) {
+  std::cout << "  " << TimeLabel << ": " << RR.ElapsedSeconds
             << " s, messages: " << RR.Messages << ", bytes: " << RR.Bytes
             << ", stmt instances: " << RR.StmtInstances
             << ", in-place upgrades: " << RR.InPlaceRuntimeUpgrades
@@ -588,7 +591,7 @@ int runProgram(const spmd::SpmdProgram &SP, const CliOptions &O) {
 
   printRunHeader(*S, (std::string("engine ") + engineName(RC.Engine)).c_str());
   if (O.Stats)
-    printRunStats(RR);
+    printRunStats(RR, "simulated time");
   if (!RR.Valid)
     return reportInvalid(RR);
   if (!O.NoCheck) {
@@ -749,7 +752,7 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
                       (O.Hosts.empty() ? "unix sockets" : "tcp"))
                          .c_str());
   if (O.Stats)
-    printRunStats(LR.Merged.R);
+    printRunStats(LR.Merged.R, "rank wall time (max)");
   if (!LR.Merged.R.Valid)
     return reportInvalid(LR.Merged.R);
 
@@ -806,6 +809,11 @@ int cmdPlace(const CliOptions &O) {
   std::unique_ptr<spmd::SpmdProgram> SP = loadProgram(O);
   if (!SP)
     return 1;
+  std::string Err;
+  if (!rt::checkParams(*SP, O.Params, Err)) {
+    std::cerr << "dhpfc: " << Err << "\n";
+    return 2;
+  }
   std::string ProgName = SP->Source ? SP->Source->name() : "<unknown>";
   std::vector<placement::Candidate> Cands = placement::searchShapes(
       *SP, O.NumProcs, O.Params, placement::MachineCost());
