@@ -64,7 +64,7 @@ inline void printTable1(const std::vector<CompileColumn> &Cols) {
 struct SubjectResult {
   std::string Name;
   double BaselineSecs = 0;             ///< cache+fast paths off, sequential
-  const core::CompileOutput *Opt = nullptr; ///< cache+parallel compile
+  const core::CompileOutput *Opt = nullptr; ///< cache+fast-path compile
 };
 
 /// Writes the Table 1 results as JSON (one object per subject with the

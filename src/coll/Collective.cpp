@@ -201,52 +201,6 @@ public:
   }
 };
 
-/// Binomial gather of contribution lists to rank 0, canonical combine
-/// there, binomial broadcast of the result bits.
-class TreeColl final : public Collective {
-public:
-  const char *name() const override { return "tree"; }
-  double allreduce(net::Transport &T, double Own, Op O, uint64_t Tag,
-                   CollStats &St) override {
-    unsigned NP = T.size(), P = T.rank();
-    if (NP == 1)
-      return combineByRank({Own}, O);
-    std::vector<std::pair<uint32_t, uint64_t>> Held;
-    Held.push_back({P, bitsOf(Own)});
-    std::vector<uint8_t> Scratch;
-    for (unsigned Mask = 1; Mask < NP; Mask <<= 1) {
-      if (P & Mask) {
-        postList(T, P - Mask, Tag, Held, Scratch, St);
-        Held.clear();
-        break;
-      }
-      if (P + Mask < NP) {
-        auto Got = recvList(T, P + Mask, Tag, St);
-        Held.insert(Held.end(), Got.begin(), Got.end());
-      }
-    }
-    double Combined = 0;
-    if (P == 0)
-      Combined = combineByRank(byRank(Held, NP, P), O);
-    // Binomial broadcast of the result bits.
-    unsigned Top = 1;
-    while (Top < NP)
-      Top <<= 1;
-    if (P != 0) {
-      unsigned Lsb = P & (~P + 1);
-      Combined = recv8(T, P - Lsb, Tag, St);
-      Top = Lsb;
-    }
-    for (unsigned D = Top >> 1; D >= 1; D >>= 1) {
-      if (P + D < NP && (P & D) == 0 && D < Top)
-        post8(T, P + D, Tag, Combined, St);
-      if (D == 1)
-        break;
-    }
-    return Combined;
-  }
-};
-
 } // namespace
 
 Collective::~Collective() = default;
@@ -256,12 +210,10 @@ Algo coll::parseAlgo(const std::string &Name) {
     return Algo::Naive;
   if (Name == "rdbl")
     return Algo::Rdbl;
-  if (Name == "tree")
-    return Algo::Tree;
   if (Name == "auto")
     return Algo::Auto;
   throw net::TransportError("DHPF_COLL: unknown collective \"" + Name +
-                            "\" (want naive|rdbl|tree|auto)");
+                            "\" (want naive|rdbl|auto)");
 }
 
 Algo coll::algoFromEnv() {
@@ -285,8 +237,6 @@ const char *coll::algoName(Algo A) {
     return "naive";
   case Algo::Rdbl:
     return "rdbl";
-  case Algo::Tree:
-    return "tree";
   case Algo::Auto:
     return "auto";
   }
@@ -297,90 +247,9 @@ std::unique_ptr<Collective> coll::makeCollective(Algo A, unsigned NP) {
   switch (resolveAlgo(A, NP)) {
   case Algo::Rdbl:
     return std::make_unique<RdblColl>();
-  case Algo::Tree:
-    return std::make_unique<TreeColl>();
   case Algo::Naive:
   case Algo::Auto:
     break;
   }
   return std::make_unique<NaiveColl>();
-}
-
-void coll::bcastBinomial(net::Transport &T, uint64_t Tag,
-                         std::vector<uint8_t> &Buf, CollStats &St) {
-  unsigned NP = T.size(), P = T.rank();
-  if (NP == 1)
-    return;
-  unsigned Top = 1;
-  while (Top < NP)
-    Top <<= 1;
-  if (P != 0) {
-    unsigned Lsb = P & (~P + 1);
-    Buf = T.recv(P - Lsb, Tag);
-    ++St.Messages;
-    St.Bytes += Buf.size();
-    Top = Lsb;
-  }
-  for (unsigned D = Top >> 1; D >= 1; D >>= 1) {
-    if (P + D < NP) {
-      net::ByteSpan S{Buf.data(), Buf.size()};
-      T.post(P + D, Tag, &S, 1);
-      ++St.Messages;
-      St.Bytes += Buf.size();
-    }
-    if (D == 1)
-      break;
-  }
-}
-
-std::vector<std::vector<uint8_t>>
-coll::gatherBinomial(net::Transport &T, uint64_t Tag, const uint8_t *Own,
-                     size_t Len, CollStats &St) {
-  unsigned NP = T.size(), P = T.rank();
-  // Accumulated (rank, payload) set, encoded u32 rank + Len bytes each.
-  std::vector<uint8_t> Held;
-  auto Append = [&](uint32_t R, const uint8_t *D) {
-    size_t At = Held.size();
-    Held.resize(At + 4 + Len);
-    std::memcpy(Held.data() + At, &R, 4);
-    std::memcpy(Held.data() + At + 4, D, Len);
-  };
-  Append(P, Own);
-  for (unsigned Mask = 1; Mask < NP; Mask <<= 1) {
-    if (P & Mask) {
-      net::ByteSpan S{Held.data(), Held.size()};
-      T.post(P - Mask, Tag, &S, 1);
-      ++St.Messages;
-      St.Bytes += Held.size();
-      return {};
-    }
-    if (P + Mask < NP) {
-      std::vector<uint8_t> Pay = T.recv(P + Mask, Tag);
-      ++St.Messages;
-      St.Bytes += Pay.size();
-      if (Pay.size() % (4 + Len) != 0)
-        throw net::TransportError("rank " + std::to_string(P) +
-                                  ": malformed gather payload from rank " +
-                                  std::to_string(P + Mask));
-      Held.insert(Held.end(), Pay.begin(), Pay.end());
-    }
-  }
-  if (P != 0)
-    return {};
-  std::vector<std::vector<uint8_t>> Out(NP);
-  std::vector<char> Seen(NP, 0);
-  for (size_t At = 0; At != Held.size(); At += 4 + Len) {
-    uint32_t R;
-    std::memcpy(&R, Held.data() + At, 4);
-    if (R >= NP || Seen[R])
-      throw net::TransportError(
-          "rank 0: inconsistent gather contribution set");
-    Seen[R] = 1;
-    Out[R].assign(Held.begin() + At + 4, Held.begin() + At + 4 + Len);
-  }
-  for (unsigned R = 0; R != NP; ++R)
-    if (!Seen[R])
-      throw net::TransportError("rank 0: gather missing rank " +
-                                std::to_string(R));
-  return Out;
 }

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Collective algorithms for the distributed runtime's scalar reductions:
-/// naive gather/broadcast through rank 0 (the historical RankEngine path),
-/// recursive doubling, and a binomial tree, selected by
-/// DHPF_COLL=naive|rdbl|tree|auto.
+/// naive gather/broadcast through rank 0 (the historical RankEngine path)
+/// and recursive doubling, selected by DHPF_COLL=naive|rdbl|auto.
 ///
 /// Bit-identicality is the design constraint: every engine (and the paper's
 /// simulated machine) combines reduction contributions *in rank order
@@ -23,7 +22,6 @@
 ///   max per-rank messages, P ranks, scalar payloads:
 ///     naive  2(P-1)        (rank 0 is the bottleneck)
 ///     rdbl   2·ceil(lg P)  (pairwise exchange, contribution lists)
-///     tree   2·ceil(lg P)  (binomial gather + binomial broadcast)
 ///
 /// `auto` resolves to rdbl for P >= 4 and naive below (at P <= 3 the
 /// schedules coincide or the naive path is strictly smaller).
@@ -46,9 +44,9 @@
 namespace dhpf {
 namespace coll {
 
-enum class Algo : uint8_t { Naive, Rdbl, Tree, Auto };
+enum class Algo : uint8_t { Naive, Rdbl, Auto };
 
-/// Parses "naive"|"rdbl"|"tree"|"auto"; throws net::TransportError
+/// Parses "naive"|"rdbl"|"auto"; throws net::TransportError
 /// on anything else (a typo must not silently change the schedule).
 Algo parseAlgo(const std::string &Name);
 
@@ -89,20 +87,6 @@ public:
 
 /// Creates the schedule for \p A (Auto resolved for \p NP ranks).
 std::unique_ptr<Collective> makeCollective(Algo A, unsigned NP);
-
-/// Binomial-tree broadcast from rank 0: on rank 0 \p Buf is the payload to
-/// send; on other ranks it is replaced by the received payload. Counts the
-/// frames this rank moved into \p St.
-void bcastBinomial(net::Transport &T, uint64_t Tag,
-                   std::vector<uint8_t> &Buf, CollStats &St);
-
-/// Binomial-tree gather to rank 0 of one fixed-size payload per rank.
-/// Returns (on rank 0) all P payloads indexed by rank, each \p Len bytes;
-/// other ranks return an empty vector. \p Own must be \p Len bytes.
-std::vector<std::vector<uint8_t>> gatherBinomial(net::Transport &T,
-                                                 uint64_t Tag,
-                                                 const uint8_t *Own,
-                                                 size_t Len, CollStats &St);
 
 } // namespace coll
 } // namespace dhpf

@@ -51,12 +51,10 @@ struct CompilerOptions {
   /// Use the Section 5 formulation that combines DataAccessed before the
   /// per-reference equations (ablation: the naive per-reference form).
   bool CombinedFormulation = true;
-  /// Run the per-nest analyses (partitioning, communication equations,
-  /// loop splitting) on a thread pool. Emission stays sequential, so the
-  /// compiled program is identical for any thread count.
-  bool ParallelAnalysis = true;
-  /// Worker count for parallel analysis; 0 selects the hardware
-  /// concurrency. Ignored when ParallelAnalysis is off.
+  /// Worker count for the per-nest analyses (partitioning, communication
+  /// equations, loop splitting): 1 runs them sequentially, 0 selects the
+  /// hardware concurrency. Emission stays sequential, so the compiled
+  /// program is identical for any thread count.
   unsigned AnalysisThreads = 0;
   /// Comma-separated pass names (or "all") whose state is dumped right
   /// after they run; empty disables dumping. See CompilerDriver.

@@ -201,10 +201,8 @@ std::unique_ptr<CompileOutput> CompilerDriver::run() {
         Collect(Ph);
     Ctx.NestAnalyses.resize(Ctx.Nests.size());
 
-    Ctx.Threads = 1;
-    if (Ctx.Opts.ParallelAnalysis)
-      Ctx.Threads = Ctx.Opts.AnalysisThreads ? Ctx.Opts.AnalysisThreads
-                                             : ThreadPool::hardwareThreads();
+    Ctx.Threads = Ctx.Opts.AnalysisThreads ? Ctx.Opts.AnalysisThreads
+                                           : ThreadPool::hardwareThreads();
     Out->ThreadsUsed = Ctx.Threads;
     if (Ctx.Threads > 1 && Ctx.Nests.size() > 1)
       Ctx.Pool = std::make_unique<ThreadPool>(Ctx.Threads);

@@ -81,10 +81,8 @@ uint64_t CompilerService::fingerprintRequest(const std::string &Source,
   // counts do not change the emitted program (emission is sequential) but
   // are folded in anyway so a request is served with the configuration it
   // asked for.
-  unsigned char Flags[6] = {
-      Opts.LoopSplitting,   Opts.Coalescing,       Opts.InPlaceAnalysis,
-      Opts.CombinedFormulation, Opts.ParallelAnalysis,
-      static_cast<unsigned char>(0)};
+  unsigned char Flags[4] = {Opts.LoopSplitting, Opts.Coalescing,
+                            Opts.InPlaceAnalysis, Opts.CombinedFormulation};
   Mix(Flags, sizeof(Flags));
   uint32_t Threads = Opts.AnalysisThreads;
   Mix(&Threads, sizeof(Threads));

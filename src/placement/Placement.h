@@ -12,10 +12,10 @@
 ///
 ///   TrafficMatrix   per-(src,dst) message/byte counts obtained by
 ///                   enumerating each event's send comm set per rank under
-///                   a concrete shape binding — the *same* enumeration
-///                   (vpIsReal / vpPartnerRank / per-partner dedup) the
-///                   runtime's execSend performs, so estimated counts
-///                   equal the measured RunResult counters exactly.
+///                   a concrete shape binding — the *same* per-partner
+///                   lists (spmd::RankCore::lists) the runtime's execSend
+///                   posts, so estimated counts equal the measured
+///                   RunResult counters exactly.
 ///   priceTraffic    a bottleneck cost: the worst rank's α·messages +
 ///                   β·bytes, plus the reduce critical path.
 ///   searchShapes    every factorization of P over the program's
@@ -65,9 +65,9 @@ struct TrafficMatrix {
   uint64_t maxRankMessages() const;
 };
 
-/// Walks the compiled program once per rank under \p RC's bindings and
-/// enumerates every Send event's comm set — execSend's enumeration without
-/// the data movement. Exact by construction: the property tests hold
+/// Lowers the compiled program under \p RC's bindings and walks each
+/// rank's plan, counting every Send event's per-partner lists — execSend's
+/// lists without the data movement. Exact by construction: the property tests hold
 /// totalMessages()/totalBytes() equal to the measured RunResult counters.
 TrafficMatrix estimateTraffic(const spmd::SpmdProgram &SP,
                               const spmd::RunConfig &RC);

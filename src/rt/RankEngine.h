@@ -28,7 +28,7 @@
 /// posted zero-copy straight from array storage.
 ///
 /// Reductions route through the src/coll collective library
-/// (DHPF_COLL=naive|rdbl|tree|auto): every schedule moves the raw per-rank
+/// (DHPF_COLL=naive|rdbl|auto): every schedule moves the raw per-rank
 /// contributions and combines them locally in rank order 0..P-1 (the
 /// in-process combine order), so double rounding is bit-identical
 /// regardless of the algorithm; only the physical CollMessages/CollBytes

@@ -6,10 +6,11 @@
 
 #include "rt/RankResult.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -29,18 +30,36 @@ double doubleOf(uint64_t V) {
   return D;
 }
 
-std::string hex64(uint64_t V) {
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, V);
-  return Buf;
+/// The rank whose dump carries element \p Flat of \p A: its owner, or
+/// rank 0 for replicated and ownerless elements. dumpRank and
+/// mergeRankDumps both decide through this one rule, which is what lets
+/// a dump carry values without indices.
+unsigned reportingRank(const ArrayStore &A, size_t Flat) {
+  int32_t Own = A.Owner.empty() ? -1 : A.Owner[Flat];
+  return Own < 0 ? 0u : static_cast<unsigned>(Own);
 }
 
-bool parseHex64(const std::string &S, uint64_t &Out) {
-  if (S.empty() || S.size() > 16)
-    return false;
+/// Appends \p V as exactly 16 lowercase hex digits.
+void appendHex(std::string &S, uint64_t V) {
+  static const char Digits[] = "0123456789abcdef";
+  char Buf[16];
+  for (int I = 15; I >= 0; --I, V >>= 4)
+    Buf[I] = Digits[V & 15];
+  S.append(Buf, 16);
+}
+
+std::string hex64(uint64_t V) {
+  std::string S;
+  appendHex(S, V);
+  return S;
+}
+
+/// Decodes the 16 hex digits at \p P; false on any non-hex digit.
+bool decodeHex16(const char *P, uint64_t &Out) {
   uint64_t V = 0;
-  for (char C : S) {
-    int D;
+  for (int I = 0; I != 16; ++I) {
+    char C = P[I];
+    unsigned D;
     if (C >= '0' && C <= '9')
       D = C - '0';
     else if (C >= 'a' && C <= 'f')
@@ -49,9 +68,52 @@ bool parseHex64(const std::string &S, uint64_t &Out) {
       D = C - 'A' + 10;
     else
       return false;
-    V = (V << 4) | static_cast<uint64_t>(D);
+    V = (V << 4) | D;
   }
   Out = V;
+  return true;
+}
+
+bool parseHex64(const std::string &S, uint64_t &Out) {
+  return S.size() == 16 && decodeHex16(S.data(), Out);
+}
+
+/// Parses the rest of an "array" line, [\p B, \p E) after "array ":
+/// "<name> <count>" then count values of " <16 hex digits>".
+bool parseArrayLine(const char *B, const char *E, RankDump &Out,
+                    std::string &Why) {
+  const char *NameB = B;
+  const char *NameE = std::find(NameB, E, ' ');
+  size_t N = 0;
+  auto [CountE, Ec] = std::from_chars(NameE + (NameE != E), E, N);
+  if (NameB == NameE || NameE == E || Ec != std::errc()) {
+    Why = "bad array header";
+    return false;
+  }
+  std::string Name(NameB, NameE);
+  auto [It, Fresh] = Out.Elems.try_emplace(Name);
+  if (!Fresh) {
+    Why = "duplicate array '" + Name + "'";
+    return false;
+  }
+  const size_t Have = static_cast<size_t>(E - CountE);
+  if (N > Have / 17) {
+    Why = "array dump truncated";
+    return false;
+  }
+  if (Have != N * 17) {
+    Why = "array '" + Name + "' has more than its " + std::to_string(N) +
+          " values";
+    return false;
+  }
+  std::vector<uint64_t> &Vals = It->second;
+  Vals.resize(N);
+  const char *C = CountE;
+  for (size_t I = 0; I != N; ++I, C += 17)
+    if (C[0] != ' ' || !decodeHex16(C + 1, Vals[I])) {
+      Why = "bad element value";
+      return false;
+    }
   return true;
 }
 
@@ -68,14 +130,10 @@ RankDump rt::dumpRank(const RankEngine &E, const RunResult &R,
   for (const auto &[Name, V] : R.FinalAccums)
     D.AccumBits[Name] = bitsOf(V);
   for (const auto &[Name, A] : E.arrays()) {
-    auto &Out = D.Elems[Name];
-    for (size_t F = 0; F != A.size(); ++F) {
-      int32_t Own = A.Owner.empty() ? -1 : A.Owner[F];
-      bool Mine = Own == static_cast<int32_t>(D.Rank) ||
-                  (Own < 0 && D.Rank == 0);
-      if (Mine)
-        Out.push_back({static_cast<int64_t>(F), bitsOf(A.at(F))});
-    }
+    std::vector<uint64_t> &Out = D.Elems[Name];
+    for (size_t F = 0; F != A.size(); ++F)
+      if (reportingRank(A, F) == D.Rank)
+        Out.push_back(bitsOf(A.at(F)));
   }
   return D;
 }
@@ -96,50 +154,53 @@ std::string rt::serializeRankDump(const RankDump &D) {
     OS << "viol " << V << "\n";
   for (const auto &[Name, Bits] : D.AccumBits)
     OS << "accum " << Name << " " << hex64(Bits) << "\n";
-  for (const auto &[Name, Elems] : D.Elems) {
-    OS << "array " << Name << " " << Elems.size() << "\n";
-    for (const auto &[Flat, Bits] : Elems)
-      OS << "e " << Flat << " " << hex64(Bits) << "\n";
+  std::string S = OS.str();
+  size_t Size = S.size() + 4;
+  for (const auto &[Name, Vals] : D.Elems)
+    Size += 32 + Name.size() + Vals.size() * 17;
+  S.reserve(Size);
+  for (const auto &[Name, Vals] : D.Elems) {
+    S += "array ";
+    S += Name;
+    S += ' ';
+    S += std::to_string(Vals.size());
+    for (uint64_t Bits : Vals) {
+      S += ' ';
+      appendHex(S, Bits);
+    }
+    S += '\n';
   }
-  OS << "end\n";
-  return OS.str();
+  S += "end\n";
+  return S;
 }
 
 bool rt::parseRankDump(const std::string &Text, RankDump &Out,
                        std::string &Err) {
-  std::istringstream IS(Text);
-  std::string Line;
   Out = RankDump();
   bool SawHeader = false, SawEnd = false;
-  std::vector<std::pair<int64_t, uint64_t>> *CurArray = nullptr;
-  size_t CurLeft = 0;
   int LineNo = 0;
   auto Fail = [&](const std::string &Why) {
     Err = "rank dump line " + std::to_string(LineNo) + ": " + Why;
     return false;
   };
-  while (std::getline(IS, Line)) {
+  static constexpr std::string_view ArrayTok = "array ";
+  for (size_t Pos = 0; Pos < Text.size();) {
+    size_t Eol = std::min(Text.find('\n', Pos), Text.size());
+    const char *B = Text.data() + Pos, *E = Text.data() + Eol;
+    Pos = Eol + 1;
     ++LineNo;
-    if (Line.empty())
+    if (B == E)
       continue;
-    std::istringstream LS(Line);
-    std::string Tok;
-    LS >> Tok;
-    if (Tok == "e") {
-      if (!CurArray || CurLeft == 0)
-        return Fail("stray element line");
-      int64_t Flat;
-      std::string Hex;
-      uint64_t Bits;
-      if (!(LS >> Flat >> Hex) || !parseHex64(Hex, Bits))
-        return Fail("bad element");
-      CurArray->push_back({Flat, Bits});
-      --CurLeft;
+    std::string_view Line(B, E - B);
+    if (Line.starts_with(ArrayTok)) {
+      std::string Why;
+      if (!parseArrayLine(B + ArrayTok.size(), E, Out, Why))
+        return Fail(Why);
       continue;
     }
-    if (CurLeft != 0)
-      return Fail("array dump truncated");
-    CurArray = nullptr;
+    std::istringstream LS{std::string(Line)};
+    std::string Tok;
+    LS >> Tok;
     if (Tok == "rankdump") {
       if (!(LS >> Out.Rank >> Out.NP) || Out.NP == 0 || Out.Rank >= Out.NP)
         return Fail("bad header");
@@ -199,14 +260,6 @@ bool rt::parseRankDump(const std::string &Text, RankDump &Out,
         return Fail("bad accum");
       Out.AccumBits[Name] = Bits;
       Out.R.FinalAccums[Name] = doubleOf(Bits);
-    } else if (Tok == "array") {
-      std::string Name;
-      size_t N;
-      if (!(LS >> Name >> N))
-        return Fail("bad array header");
-      CurArray = &Out.Elems[Name];
-      CurArray->reserve(N);
-      CurLeft = N;
     } else if (Tok == "end") {
       SawEnd = true;
     } else {
@@ -215,8 +268,6 @@ bool rt::parseRankDump(const std::string &Text, RankDump &Out,
   }
   if (!SawHeader)
     return Fail("missing rankdump header");
-  if (CurLeft != 0)
-    return Fail("array dump truncated");
   if (!SawEnd)
     return Fail("missing end marker (rank died mid-dump?)");
   return true;
@@ -284,22 +335,40 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
         return false;
       }
     }
-    for (const auto &[Name, Elems] : D.Elems) {
-      auto AIt = Out.Arrays.find(Name);
-      if (AIt == Out.Arrays.end()) {
+    for (const auto &[Name, Vals] : D.Elems)
+      if (!Out.Arrays.count(Name)) {
         Err = "rank " + std::to_string(P) + " dumped unknown array '" +
               Name + "'";
         return false;
       }
-      for (const auto &[Flat, Bits] : Elems) {
-        if (Flat < 0 || Flat >= static_cast<int64_t>(AIt->second.size())) {
-          Err = "rank " + std::to_string(P) +
-                " dumped out-of-range element of '" + Name + "'";
-          return false;
-        }
-        AIt->second.at(Flat) = doubleOf(Bits);
+  }
+  // Hand every element the next value of its reporting rank's run.
+  std::vector<const std::vector<uint64_t> *> Run(L.NumProcs);
+  std::vector<size_t> Cur(L.NumProcs);
+  for (auto &[Name, A] : Out.Arrays) {
+    for (unsigned P = 0; P != L.NumProcs; ++P) {
+      auto It = ByRank[P]->Elems.find(Name);
+      if (It == ByRank[P]->Elems.end()) {
+        Err = "rank " + std::to_string(P) + " dump is missing array '" +
+              Name + "'";
+        return false;
       }
+      Run[P] = &It->second;
+      Cur[P] = 0;
     }
+    for (size_t F = 0; F != A.size(); ++F) {
+      unsigned R = reportingRank(A, F);
+      size_t K = Cur[R]++;
+      if (K < Run[R]->size())
+        A.at(F) = doubleOf((*Run[R])[K]);
+    }
+    for (unsigned P = 0; P != L.NumProcs; ++P)
+      if (Cur[P] != Run[P]->size()) {
+        Err = "rank " + std::to_string(P) + " reports " +
+              std::to_string(Run[P]->size()) + " values of array '" + Name +
+              "', the layout assigns it " + std::to_string(Cur[P]);
+        return false;
+      }
   }
   Out.R.InPlaceRuntimeUpgrades = ByRank[0]->R.InPlaceRuntimeUpgrades;
   Out.R.FinalAccums = ByRank[0]->R.FinalAccums;

@@ -10,11 +10,25 @@
 /// Doubles travel as 64-bit hex bit patterns — never through decimal
 /// formatting — so the merged arrays and accumulators compare bitwise.
 ///
-/// Each rank dumps the array elements it owns; rank 0 additionally dumps
-/// replicated and ownerless elements (which replicated computation keeps
-/// identical on every rank). Per-rank counters sum to the in-process
-/// totals; the overlap ratio merges from wire-byte numerators and
-/// denominators.
+/// A dump is line-oriented text:
+///
+///   rankdump <rank> <np>
+///   stat ...                      counters, elapsed bits, overlap terms
+///   valid <0|1>
+///   viol <message>                one per recorded violation
+///   accum <name> <hex>            one per accumulator
+///   array <name> <count> <hex> <hex> ...
+///   end
+///
+/// An array line carries only values — each a space and 16 hex digits —
+/// for the elements this rank reports, in flat order: the elements it
+/// owns, and on rank 0 also the replicated and ownerless ones (which
+/// replicated computation keeps identical on every rank). No indices
+/// travel: the merge rebuilds the same Owner map from the layout and
+/// hands each element the next value from its reporting rank's run, the
+/// way the paper's sender and receiver both enumerate one comm set. Per-
+/// rank counters sum to the in-process totals; the overlap ratio merges
+/// from wire-byte numerators and denominators.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +46,8 @@ namespace dhpf {
 namespace rt {
 
 /// Everything one rank reports: its rank-local RunResult, the overlap
-/// fraction's wire-byte terms, and bit dumps of accumulators and owned
-/// array elements.
+/// fraction's wire-byte terms, and bit dumps of accumulators and of the
+/// array elements the rank reports.
 struct RankDump {
   unsigned Rank = 0;
   unsigned NP = 0;
@@ -41,7 +55,9 @@ struct RankDump {
   uint64_t OverlapNum = 0; ///< wire bytes flushed during compute
   uint64_t OverlapDen = 0; ///< wire bytes sent in total
   std::map<std::string, uint64_t> AccumBits;
-  std::map<std::string, std::vector<std::pair<int64_t, uint64_t>>> Elems;
+  /// Per array, the bit patterns of the elements this rank reports, in
+  /// flat order.
+  std::map<std::string, std::vector<uint64_t>> Elems;
 };
 
 /// Captures a finished engine's state as a dump.
@@ -66,7 +82,10 @@ struct MergedRun {
 };
 
 /// Merges one dump per rank. False (with \p Err) when dumps are missing,
-/// inconsistent, or disagree on broadcast values.
+/// inconsistent, or disagree on broadcast values, and — naming the rank
+/// and the array — when a dump lacks an array of the program, names an
+/// unknown one, or reports a different number of values than the layout
+/// assigns it.
 bool mergeRankDumps(const spmd::SpmdProgram &SP,
                     const spmd::RunConfig &Config,
                     const std::vector<RankDump> &Dumps, MergedRun &Out,

@@ -12,8 +12,8 @@
 ///     that any other combine order produces different bits.
 ///  2. Schedule shape: the physical per-rank frame counts match the
 ///     advertised schedules — naive bottlenecks rank 0 at 2(P-1) while
-///     recursive doubling and the binomial tree cut the maximum to
-///     2·ceil(lg P), the asymptotic win the benchmarks gate on.
+///     recursive doubling cuts the maximum to 2·ceil(lg P), the asymptotic
+///     win the benchmarks gate on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,19 +91,19 @@ void expectBitEqual(double A, double B, const std::string &What) {
       << What << ": " << A << " vs " << B;
 }
 
-const Algo AllAlgos[] = {Algo::Naive, Algo::Rdbl, Algo::Tree};
+const Algo AllAlgos[] = {Algo::Naive, Algo::Rdbl};
 
 //===----------------------------------------------------------------------===//
 // Algorithm selection
 //===----------------------------------------------------------------------===//
 
 TEST(CollAlgo, ParseRoundTripsEveryName) {
-  for (Algo A : {Algo::Naive, Algo::Rdbl, Algo::Tree, Algo::Auto})
+  for (Algo A : {Algo::Naive, Algo::Rdbl, Algo::Auto})
     EXPECT_EQ(parseAlgo(algoName(A)), A);
 }
 
 TEST(CollAlgo, ParseRejectsTypos) {
-  for (const char *Bad : {"", "Naive", "ring", "rd", "butterfly"})
+  for (const char *Bad : {"", "Naive", "ring", "tree", "rd", "butterfly"})
     EXPECT_THROW(parseAlgo(Bad), net::TransportError) << Bad;
 }
 
@@ -112,8 +112,8 @@ TEST(CollAlgo, EnvDefaultsToAuto) {
   std::string Saved = Old ? Old : "";
   unsetenv("DHPF_COLL");
   EXPECT_EQ(algoFromEnv(), Algo::Auto);
-  setenv("DHPF_COLL", "tree", 1);
-  EXPECT_EQ(algoFromEnv(), Algo::Tree);
+  setenv("DHPF_COLL", "rdbl", 1);
+  EXPECT_EQ(algoFromEnv(), Algo::Rdbl);
   if (Old)
     setenv("DHPF_COLL", Saved.c_str(), 1);
   else
@@ -125,7 +125,7 @@ TEST(CollAlgo, AutoResolvesByMeshSize) {
   EXPECT_EQ(resolveAlgo(Algo::Auto, 2), Algo::Naive);
   EXPECT_EQ(resolveAlgo(Algo::Auto, 4), Algo::Rdbl);
   EXPECT_EQ(resolveAlgo(Algo::Auto, 8), Algo::Rdbl);
-  EXPECT_EQ(resolveAlgo(Algo::Tree, 8), Algo::Tree);
+  EXPECT_EQ(resolveAlgo(Algo::Naive, 8), Algo::Naive);
 }
 
 //===----------------------------------------------------------------------===//
@@ -154,8 +154,8 @@ TEST(CollBits, AllAlgorithmsMatchRankOrderCombine) {
 
 TEST(CollBits, SuccessiveInstancesStayOrderedAtNonPowerOfTwo) {
   // Several back-to-back collectives on a non-power-of-two mesh: the
-  // extra-rank folding in rdbl and the uneven tree must not let one
-  // instance's frames bleed into the next (fresh tag per instance).
+  // extra-rank folding in rdbl must not let one instance's frames bleed
+  // into the next (fresh tag per instance).
   const unsigned NP = 6, Instances = 5;
   std::vector<double> C = spikyContributions(NP);
   double Ref = refCombine(C, Op::Sum);
@@ -189,7 +189,7 @@ TEST(CollSchedule, MaxPerRankFramesMatchTheAdvertisedCounts) {
   struct {
     Algo A;
     uint64_t Expect;
-  } Cases[] = {{Algo::Naive, 14}, {Algo::Rdbl, 6}, {Algo::Tree, 6}};
+  } Cases[] = {{Algo::Naive, 14}, {Algo::Rdbl, 6}};
   for (const auto &[A, Expect] : Cases) {
     std::vector<RankOutcome> Out = runAllreduce(A, NP, C, Op::Sum);
     for (const RankOutcome &O : Out)
@@ -214,58 +214,7 @@ TEST(CollSchedule, LogSchedulesBeatNaiveBottleneckAtP8) {
   std::vector<double> C = spikyContributions(NP);
   uint64_t NaiveMax = maxRankMessages(runAllreduce(Algo::Naive, NP, C, Op::Sum));
   uint64_t RdblMax = maxRankMessages(runAllreduce(Algo::Rdbl, NP, C, Op::Sum));
-  uint64_t TreeMax = maxRankMessages(runAllreduce(Algo::Tree, NP, C, Op::Sum));
   EXPECT_LT(RdblMax, NaiveMax);
-  EXPECT_LT(TreeMax, NaiveMax);
-}
-
-//===----------------------------------------------------------------------===//
-// Binomial gather / broadcast primitives
-//===----------------------------------------------------------------------===//
-
-TEST(CollPrimitives, GatherThenBroadcastRoundTrips) {
-  const unsigned NP = 6;
-  net::LoopbackMesh Mesh(NP);
-  std::vector<std::string> Errs(NP);
-  std::vector<std::thread> Ts;
-  for (unsigned R = 0; R != NP; ++R)
-    Ts.emplace_back([&, R] {
-      try {
-        auto T = Mesh.transport(R);
-        CollStats St;
-        uint8_t Own[4] = {static_cast<uint8_t>(R), 0xaa, 0xbb,
-                          static_cast<uint8_t>(R * 3)};
-        std::vector<std::vector<uint8_t>> All =
-            gatherBinomial(*T, 500, Own, sizeof(Own), St);
-        if (R == 0) {
-          ASSERT_EQ(All.size(), NP);
-          for (unsigned Q = 0; Q != NP; ++Q) {
-            ASSERT_EQ(All[Q].size(), sizeof(Own));
-            EXPECT_EQ(All[Q][0], Q);
-            EXPECT_EQ(All[Q][3], static_cast<uint8_t>(Q * 3));
-          }
-        } else {
-          EXPECT_TRUE(All.empty());
-        }
-        // Broadcast rank 0's concatenation back out; every rank must see
-        // identical bytes.
-        std::vector<uint8_t> Buf;
-        if (R == 0)
-          for (const auto &P : All)
-            Buf.insert(Buf.end(), P.begin(), P.end());
-        bcastBinomial(*T, 501, Buf, St);
-        ASSERT_EQ(Buf.size(), NP * sizeof(Own));
-        for (unsigned Q = 0; Q != NP; ++Q)
-          EXPECT_EQ(Buf[Q * sizeof(Own)], Q);
-        EXPECT_GT(St.Messages, 0u);
-      } catch (const std::exception &E) {
-        Errs[R] = E.what();
-      }
-    });
-  for (auto &T : Ts)
-    T.join();
-  for (unsigned R = 0; R != NP; ++R)
-    EXPECT_EQ(Errs[R], "") << "rank " << R;
 }
 
 } // namespace

@@ -84,9 +84,10 @@ Observed runOnce(AppInstance (*Make)(), const std::vector<int64_t> &Shape,
   O.Valid = RR.Valid;
   O.FinalAccums = RR.FinalAccums;
 
-  if (Tracing && obs::compiledIn())
+  if (Tracing && obs::compiledIn()) {
     EXPECT_GT(GB.eventCount(), 0u)
         << App.Name << ": traced run recorded no events";
+  }
   GB.stop();
   GB.clear();
   return O;

@@ -118,8 +118,9 @@ TEST(PlacementSearch, DeterministicAndSortedByCost) {
     ASSERT_EQ(A.size(), B.size());
     for (size_t I = 0; I != A.size(); ++I) {
       EXPECT_EQ(A[I].Shape, B[I].Shape);
-      if (I)
+      if (I) {
         EXPECT_LE(A[I - 1].Cost, A[I].Cost);
+      }
     }
   }
 }

@@ -343,10 +343,8 @@ struct CompileResult {
   unsigned Splits;
 };
 
-CompileResult compileApp(const AppInstance &App, bool Parallel,
-                         unsigned Threads) {
+CompileResult compileApp(const AppInstance &App, unsigned Threads) {
   CompilerOptions Opts;
-  Opts.ParallelAnalysis = Parallel;
   Opts.AnalysisThreads = Threads;
   auto Out = compileProgram(*App.Prog, Opts);
   return {Out->Program.print(), Out->NumCommEvents, Out->NumSplitNests};
@@ -366,9 +364,9 @@ protected:
 TEST_P(ParallelDeterminism, PoolMatchesSequentialCached) {
   CacheSwitch On(true);
   AppInstance App = makeApp(GetParam());
-  CompileResult Seq = compileApp(App, false, 0);
+  CompileResult Seq = compileApp(App, 1);
   for (unsigned Threads : {2u, 4u, 7u}) {
-    CompileResult Par = compileApp(App, true, Threads);
+    CompileResult Par = compileApp(App, Threads);
     EXPECT_EQ(Par.Printed, Seq.Printed) << "threads=" << Threads;
     EXPECT_EQ(Par.Events, Seq.Events);
     EXPECT_EQ(Par.Splits, Seq.Splits);
@@ -378,8 +376,8 @@ TEST_P(ParallelDeterminism, PoolMatchesSequentialCached) {
 TEST_P(ParallelDeterminism, PoolMatchesSequentialUncached) {
   CacheSwitch Off(false);
   AppInstance App = makeApp(GetParam());
-  CompileResult Seq = compileApp(App, false, 0);
-  CompileResult Par = compileApp(App, true, 4);
+  CompileResult Seq = compileApp(App, 1);
+  CompileResult Par = compileApp(App, 4);
   EXPECT_EQ(Par.Printed, Seq.Printed);
 }
 
@@ -393,7 +391,6 @@ TEST(CacheNumerics, CachedParallelJacobiValidates) {
   CacheSwitch On(true);
   AppInstance App = makeJacobi(12, 2);
   CompilerOptions Opts;
-  Opts.ParallelAnalysis = true;
   Opts.AnalysisThreads = 4;
   auto Out = compileProgram(*App.Prog, Opts);
   spmd::RunConfig RC;

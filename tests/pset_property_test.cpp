@@ -165,8 +165,9 @@ TEST_P(PsetAlgebra, SubsetReflexivityAndHull) {
   Relation H = A.simpleHull();
   EXPECT_TRUE(A.isSubsetOf(H)) << A.toString();
   // The hull of a convex-proven set equals the set.
-  if (A.isConvexProven())
+  if (A.isConvexProven()) {
     EXPECT_TRUE(H.isSubsetOf(A));
+  }
 }
 
 TEST_P(PsetAlgebra, ProjectionSoundAndExact) {

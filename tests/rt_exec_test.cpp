@@ -56,12 +56,12 @@ std::vector<Subject> subjects() {
 
 enum class Mesh { Loopback, Socket };
 
-/// Runs \p SP distributed on \p Mesh with one thread per rank, pushes every
-/// rank's result through the dump text round trip, and merges. Any rank
-/// error fails the test.
-rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
-                             const apps::AppInstance &App,
-                             const spmd::RunConfig &RC, Mesh Kind) {
+/// Runs \p SP distributed on \p Mesh with one thread per rank and pushes
+/// every rank's result through the dump text round trip. Any rank error
+/// fails the test.
+std::vector<rt::RankDump> runRanks(const spmd::SpmdProgram &SP,
+                                   const apps::AppInstance &App,
+                                   const spmd::RunConfig &RC, Mesh Kind) {
   spmd::ProgramLayout L = spmd::resolveLayout(SP, RC);
   unsigned NP = L.NumProcs;
 
@@ -108,7 +108,6 @@ rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
     rmdir(Dir.c_str());
   }
 
-  rt::MergedRun Merged;
   for (unsigned R = 0; R != NP; ++R)
     EXPECT_EQ(Errs[R], "") << "rank " << R;
   std::vector<rt::RankDump> Parsed;
@@ -118,8 +117,18 @@ rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
     EXPECT_TRUE(rt::parseRankDump(Dumps[R], D, Err)) << Err;
     Parsed.push_back(std::move(D));
   }
+  return Parsed;
+}
+
+/// runRanks, then the merge.
+rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
+                             const apps::AppInstance &App,
+                             const spmd::RunConfig &RC, Mesh Kind) {
+  rt::MergedRun Merged;
   std::string Err;
-  EXPECT_TRUE(rt::mergeRankDumps(SP, RC, Parsed, Merged, Err)) << Err;
+  EXPECT_TRUE(
+      rt::mergeRankDumps(SP, RC, runRanks(SP, App, RC, Kind), Merged, Err))
+      << Err;
   return Merged;
 }
 
@@ -201,7 +210,7 @@ TEST(RtExec, CollectiveAlgorithmsBitIdenticalAtP8) {
   ASSERT_TRUE(Ref.Valid);
 
   std::map<std::string, uint64_t> MaxRankFrames;
-  for (const char *Algo : {"naive", "rdbl", "tree"}) {
+  for (const char *Algo : {"naive", "rdbl"}) {
     setenv("DHPF_COLL", Algo, 1);
     rt::MergedRun Loop = runDistributed(SP, S.App, RC, Mesh::Loopback);
     expectBitIdentical(Loop, Ref, I);
@@ -217,7 +226,6 @@ TEST(RtExec, CollectiveAlgorithmsBitIdenticalAtP8) {
   }
   unsetenv("DHPF_COLL");
   EXPECT_LT(MaxRankFrames["rdbl"], MaxRankFrames["naive"]);
-  EXPECT_LT(MaxRankFrames["tree"], MaxRankFrames["naive"]);
 }
 
 /// Rank-dump parser: malformed dumps are line-numbered errors, and a dump
@@ -233,13 +241,88 @@ TEST(RtDump, ParserDiagnosesTruncation) {
   EXPECT_NE(Err.find("mid-dump"), std::string::npos) << Err;
 
   std::string CutArray =
-      "rankdump 0 2\nvalid 1\narray U 3\ne 0 0000000000000000\n";
+      "rankdump 0 2\nvalid 1\narray U 3 0000000000000000\n";
   EXPECT_FALSE(rt::parseRankDump(CutArray, D, Err));
   EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
 
   std::string BadLine = "rankdump 0 2\nwhatisthis 5\n";
   EXPECT_FALSE(rt::parseRankDump(BadLine, D, Err));
   EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+}
+
+/// Array lines carry values only: a round trip keeps every bit, and a
+/// value run shorter than its count — even cut mid-value — is truncation.
+TEST(RtDump, ValueRunsRoundTripAndDiagnoseTruncation) {
+  rt::RankDump D;
+  D.NP = 1;
+  D.Elems["U"] = {0x3ff0000000000000ull, 0xfff8000000000001ull};
+  D.Elems["V"] = {};
+  std::string Text = rt::serializeRankDump(D);
+  EXPECT_NE(Text.find("\narray U 2 3ff0000000000000 fff8000000000001\n"),
+            std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("\narray V 0\n"), std::string::npos) << Text;
+  rt::RankDump Back;
+  std::string Err;
+  ASSERT_TRUE(rt::parseRankDump(Text, Back, Err)) << Err;
+  EXPECT_EQ(Back.Elems, D.Elems);
+
+  for (const char *Cut : {"array U 2 3ff0000000000000\nend\n",
+                          "array U 2 3ff0000000000000 fff80000"}) {
+    EXPECT_FALSE(
+        rt::parseRankDump(std::string("rankdump 0 1\n") + Cut, Back, Err));
+    EXPECT_NE(Err.find("line 2: array dump truncated"), std::string::npos)
+        << Err;
+  }
+  EXPECT_FALSE(rt::parseRankDump("rankdump 0 1\narray U 1 3ff0000000000000\n"
+                                 "array U 0\nend\n",
+                                 Back, Err));
+  EXPECT_NE(Err.find("line 3: duplicate array 'U'"), std::string::npos)
+      << Err;
+  EXPECT_FALSE(rt::parseRankDump(
+      "rankdump 0 1\narray U 1 3ff000000000000g\nend\n", Back, Err));
+  EXPECT_NE(Err.find("line 2: bad element value"), std::string::npos) << Err;
+}
+
+/// The merge places values by the layout's ownership rule, so a dump whose
+/// arrays do not match what its rank reports is refused with the rank and
+/// the array named, never merged into the wrong elements.
+TEST(RtDump, MergeRejectsDumpsThatDisagreeWithTheLayout) {
+  Subject S = std::move(subjects()[0]); // jacobi on a 2x2 mesh
+  auto Compiled = core::compileProgram(*S.App.Prog);
+  ASSERT_TRUE(Compiled);
+  const spmd::SpmdProgram &SP = Compiled->Program;
+  spmd::RunConfig RC;
+  RC.ProcExtents[S.App.ProcArrayName] = S.Shape4;
+  const std::vector<rt::RankDump> Good =
+      runRanks(SP, S.App, RC, Mesh::Loopback);
+  ASSERT_EQ(Good.size(), 4u);
+  rt::MergedRun M;
+  std::string Err;
+  ASSERT_TRUE(rt::mergeRankDumps(SP, RC, Good, M, Err)) << Err;
+  const std::string Name = Good[1].Elems.begin()->first;
+  ASSERT_FALSE(Good[1].Elems.begin()->second.empty());
+
+  auto ExpectRefused = [&](const std::vector<rt::RankDump> &Ds,
+                           const std::string &Rank, const std::string &Array,
+                           const std::string &Why) {
+    EXPECT_FALSE(rt::mergeRankDumps(SP, RC, Ds, M, Err));
+    EXPECT_NE(Err.find(Rank + " "), std::string::npos) << Err;
+    EXPECT_NE(Err.find("'" + Array + "'"), std::string::npos) << Err;
+    EXPECT_NE(Err.find(Why), std::string::npos) << Err;
+  };
+  std::vector<rt::RankDump> Short = Good;
+  Short[1].Elems[Name].pop_back();
+  ExpectRefused(Short, "rank 1", Name, "the layout assigns it");
+  std::vector<rt::RankDump> Long = Good;
+  Long[2].Elems[Name].push_back(0);
+  ExpectRefused(Long, "rank 2", Name, "the layout assigns it");
+  std::vector<rt::RankDump> Missing = Good;
+  Missing[3].Elems.erase(Name);
+  ExpectRefused(Missing, "rank 3", Name, "missing");
+  std::vector<rt::RankDump> Unknown = Good;
+  Unknown[0].Elems["NOSUCH"] = {};
+  ExpectRefused(Unknown, "rank 0", "NOSUCH", "unknown");
 }
 
 /// Per-rank trace buffers wired through RankConfig::Trace: the engine

@@ -122,8 +122,7 @@ int usage(const char *Argv0) {
          "file, or 'auto'\n"
       << "                       to reserve loopback ports (default: unix "
          "sockets)\n"
-      << "  --coll=<algo>        reduction collective: naive | rdbl | tree "
-         "| auto\n"
+      << "  --coll=<algo>        reduction collective: naive | rdbl | auto\n"
       << "                       (default DHPF_COLL or auto)\n"
       << "  --timeout-ms=<n>     per-launch deadline (default "
          "DHPF_LAUNCH_TIMEOUT_MS or 60000)\n"
@@ -164,7 +163,7 @@ int printVersion() {
               << "' unusable; native falls back to bytecode)";
   std::cout << "\n"
             << "  transports: loopback unix-socket tcp\n"
-            << "  collectives: naive rdbl tree\n"
+            << "  collectives: naive rdbl\n"
             << "  kernel cache: "
             << (Dir.empty() ? "disabled (in-memory only)" : Dir) << "\n";
   return 0;
@@ -335,7 +334,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         coll::parseAlgo(V);
       } catch (const net::TransportError &) {
         std::cerr << "dhpfc: unknown collective '" << V
-                  << "' (want naive|rdbl|tree|auto)\n";
+                  << "' (want naive|rdbl|auto)\n";
         return false;
       }
       O.Coll = V;
@@ -386,8 +385,7 @@ core::CompilerOptions compilerOptions(const CliOptions &O) {
   CO.LoopSplitting = !O.NoSplit;
   CO.Coalescing = !O.NoCoalesce;
   CO.InPlaceAnalysis = !O.NoInPlace;
-  CO.ParallelAnalysis = !O.Sequential;
-  CO.AnalysisThreads = O.Threads;
+  CO.AnalysisThreads = O.Sequential ? 1 : O.Threads;
   CO.DumpAfter = O.DumpAfter;
   return CO;
 }
