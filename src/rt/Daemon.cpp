@@ -6,17 +6,15 @@
 
 #include "rt/Daemon.h"
 
-#include "core/InPlace.h"
 #include "obs/Metrics.h"
 #include "pset/Intern.h"
 #include "spmd/Serialize.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <iterator>
 #include <sstream>
-#include <thread>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -118,7 +116,6 @@ public:
     auto It = Fields.find(K);
     return It == Fields.end() ? 0.0 : std::strtod(It->second.c_str(), nullptr);
   }
-  const std::map<std::string, std::string> &fields() const { return Fields; }
 
 private:
   std::map<std::string, std::string> Fields;
@@ -137,56 +134,6 @@ const char *servedName(core::Served S) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Run summary (shared by daemon and local differential checks)
-//===----------------------------------------------------------------------===//
-
-std::string rt::runSummary(const spmd::RunResult &RR,
-                           const std::string &CheckVerdict) {
-  std::ostringstream OS;
-  OS << "messages " << RR.Messages << "\n"
-     << "bytes " << RR.Bytes << "\n"
-     << "stmt_instances " << RR.StmtInstances << "\n"
-     << "span_copies " << RR.SpanCopies << "\n"
-     << "packed_copies " << RR.PackedCopies << "\n"
-     << "inplace_upgrades " << RR.InPlaceRuntimeUpgrades << "\n"
-     << "valid " << (RR.Valid ? 1 : 0) << "\n";
-  for (const std::string &V : RR.Violations)
-    OS << "violation " << V << "\n";
-  for (const auto &Acc : RR.FinalAccums) {
-    uint64_t Bits;
-    static_assert(sizeof(Bits) == sizeof(double), "accum bit rendering");
-    std::memcpy(&Bits, &Acc.second, sizeof(Bits));
-    char B[32];
-    std::snprintf(B, sizeof(B), "%016llx",
-                  static_cast<unsigned long long>(Bits));
-    OS << "accum " << Acc.first << " " << B << "\n";
-  }
-  OS << "check " << CheckVerdict << "\n";
-  return OS.str();
-}
-
-bool rt::runForSummary(spmd::SpmdProgram &SP, const SessionOptions &SO,
-                       bool Check, std::string &SummaryOut,
-                       std::string &Err) {
-  std::optional<Session> S = resolveSession(SP, SO, Err);
-  if (!S)
-    return false;
-  spmd::Interpreter I(SP, S->Config);
-  S->setup(SP, I);
-  spmd::RunResult RR = I.run();
-  std::string Verdict = "skipped";
-  if (Check && S->Reg && S->Canonical) {
-    apps::AppInstance App = S->Reg->MakeCanonical();
-    if (App.Check) {
-      std::string CheckErr;
-      Verdict = App.Check(I, CheckErr) ? "ok" : "failed: " + CheckErr;
-    }
-  }
-  SummaryOut = runSummary(RR, Verdict);
-  return true;
-}
 
 //===----------------------------------------------------------------------===//
 // Daemon
@@ -245,14 +192,6 @@ void Daemon::stop() {
       std::cerr << "dhpfd: cache save failed: " << Err << "\n";
     }
   }
-}
-
-void Daemon::wait() {
-  // stop() joins the service threads, so it must not run on one of them;
-  // the shutdown handler only sets a flag and this (main) thread acts.
-  while (Server.running() && !ShutdownRequested.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  stop();
 }
 
 void Daemon::publishServerMetrics() {
@@ -372,29 +311,33 @@ std::string Daemon::handleRun(const std::string &Payload) {
     throw std::runtime_error("malformed run request: " + Err);
   DiagnosticEngine Diags;
   std::unique_ptr<spmd::SpmdProgram> SP =
-      spmd::parseSpmdProgram(In.get("spmd"), Diags, "<remote spmd>");
+      loadSpmd(In.get("spmd"), "<remote spmd>", Diags);
   WireWriter W;
   if (!SP) {
     W.kvU("ok", 0);
     W.blob("error", Diags.str());
     return W.str();
   }
-  SP->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
+  // The session travels as the flags dhpfc parses, decoded by the same
+  // parser.
+  std::istringstream SessionText(In.get("session"));
+  std::vector<std::string> Args{
+      std::istream_iterator<std::string>(SessionText), {}};
   SessionOptions SO;
-  SO.NumProcs = static_cast<int64_t>(In.getU("procs", 4));
-  SO.CheckValidity = In.getU("validity", 1) != 0;
-  for (const auto &KV : In.fields())
-    if (KV.first.rfind("param.", 0) == 0)
-      SO.Params[KV.first.substr(6)] =
-          std::strtoll(KV.second.c_str(), nullptr, 10);
-  std::string Summary;
-  if (!runForSummary(*SP, SO, In.getU("check", 1) != 0, Summary, Err)) {
+  std::optional<Session> S;
+  if (parseSessionArgs(Args, SO, Err))
+    S = resolveSession(*SP, SO, Err);
+  if (!S) {
     W.kvU("ok", 0);
     W.blob("error", Err);
     return W.str();
   }
+  SessionRun Run = runSession(*SP, *S, In.getU("check", 1) != 0);
   W.kvU("ok", 1);
-  W.blob("summary", Summary);
+  W.kvU("valid", Run.R.Valid ? 1 : 0);
+  W.kv("check", CheckVerdict::Names[Run.Check.K]);
+  W.blob("check_why", Run.Check.Why);
+  W.blob("summary", runSummary(Run.R));
   return W.str();
 }
 
@@ -474,17 +417,26 @@ DaemonCompileResult rt::daemonCompile(net::MsgStream &S,
 DaemonRunResult rt::daemonRun(net::MsgStream &S, const std::string &Spmd,
                               const SessionOptions &SO, bool Check) {
   WireWriter W;
-  W.kvU("procs", static_cast<uint64_t>(SO.NumProcs));
-  W.kvU("validity", SO.CheckValidity ? 1 : 0);
+  std::string Flags;
+  for (const std::string &A : encodeSessionArgs(SO))
+    Flags += A + "\n";
+  W.blob("session", Flags);
   W.kvU("check", Check ? 1 : 0);
-  for (const auto &P : SO.Params)
-    W.kv("param." + P.first, std::to_string(P.second));
   W.blob("spmd", Spmd);
   WireReader R = roundTrip(S, MsgRunReq, W.str());
   DaemonRunResult Out;
   Out.Ok = R.getU("ok") != 0;
-  Out.Summary = R.get("summary");
   Out.Error = R.get("error");
+  if (!Out.Ok)
+    return Out;
+  Out.Summary = R.get("summary");
+  Out.Valid = R.getU("valid") != 0;
+  const auto &Names = CheckVerdict::Names;
+  auto K = std::find(std::begin(Names), std::end(Names), R.get("check"));
+  if (K == std::end(Names))
+    throw net::TransportError("garbled daemon reply: no check verdict");
+  Out.Check.K = static_cast<CheckVerdict::Kind>(K - std::begin(Names));
+  Out.Check.Why = R.get("check_why");
   return Out;
 }
 

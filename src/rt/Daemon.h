@@ -24,10 +24,10 @@
 /// previously saved set-operation cache (a cold daemon starts warm) and
 /// stop() saves it back.
 ///
-/// runSummary() renders a run's engine-independent counters (messages,
-/// bytes, statement instances, copy classification, validity, accumulator
-/// bit patterns) — no wall-clock fields — so a daemon-side run can be
-/// compared bit-for-bit against a local run of the same program.
+/// A run request carries the session as rt/Session's encoded flags, one
+/// per line, decoded by the parser `dhpfc` uses. The reply carries the
+/// validity and reference-check verdicts as fields, plus runSummary(), so
+/// a daemon-side run compares bit-for-bit against a local one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,14 +79,12 @@ public:
   /// bind failure. A load failure of CacheFile is reported to stderr and
   /// ignored (a missing or stale cache file must not block startup).
   void start();
-  /// Stops serving and saves CacheFile. Idempotent.
+  /// Stops serving and saves CacheFile. Idempotent. Must not run on a
+  /// service thread (it joins them): the shutdown handler only sets the
+  /// flag below, and the owner's loop calls stop().
   void stop();
-  /// Blocks until a client's shutdown request stops the daemon.
-  void wait();
 
-  bool running() const { return Server.running(); }
-  /// True once a client has asked the daemon to stop (the flag wait()
-  /// polls; external event loops can poll it too).
+  /// True once a client has asked the daemon to stop.
   bool shutdownRequested() const {
     return ShutdownRequested.load(std::memory_order_relaxed);
   }
@@ -115,21 +113,6 @@ private:
   void publishServerMetrics();
 };
 
-/// Engine-independent, wall-clock-free rendering of a run result, plus
-/// the reference-check verdict ("ok", "skipped", or "failed: ..."). Equal
-/// strings <=> the runs agreed bit-for-bit on every deterministic output
-/// (accumulators are rendered as exact bit patterns).
-std::string runSummary(const spmd::RunResult &RR,
-                       const std::string &CheckVerdict);
-
-/// Executes a parsed program the way `dhpfc run` does (resolve session,
-/// interpret, optional canonical reference check) and returns
-/// runSummary(). Returns false with \p Err set when the session cannot be
-/// resolved. Shared by the daemon's run handler and local clients so both
-/// sides produce comparable summaries.
-bool runForSummary(spmd::SpmdProgram &SP, const SessionOptions &SO,
-                   bool Check, std::string &SummaryOut, std::string &Err);
-
 //===----------------------------------------------------------------------===//
 // Client helpers (used by dhpfc --server= and tests)
 //===----------------------------------------------------------------------===//
@@ -155,11 +138,16 @@ DaemonCompileResult daemonCompile(net::MsgStream &S, const std::string &Name,
                                   bool Fresh = false);
 
 struct DaemonRunResult {
-  bool Ok = false;
-  std::string Summary; ///< runSummary() text when Ok
+  bool Ok = false;     ///< false: Error says why the run did not happen
+  std::string Summary; ///< runSummary() text
+  bool Valid = false;  ///< the run recorded no validity violation
+  CheckVerdict Check;  ///< the reference check's verdict
   std::string Error;
 };
 
+/// Runs \p Spmd on the daemon under the session \p SO (sent through
+/// encodeSessionArgs), with the reference check when \p Check. Throws
+/// net::TransportError on transport failure or a garbled reply.
 DaemonRunResult daemonRun(net::MsgStream &S, const std::string &Spmd,
                           const SessionOptions &SO, bool Check);
 
@@ -170,7 +158,7 @@ std::string daemonStats(net::MsgStream &S);
 /// Round-trip liveness probe; throws on failure.
 void daemonPing(net::MsgStream &S);
 
-/// Asks the daemon to stop (it persists its cache and exits wait()).
+/// Asks the daemon to stop (it persists its cache and exits).
 void daemonShutdown(net::MsgStream &S);
 
 } // namespace rt

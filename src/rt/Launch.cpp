@@ -9,6 +9,7 @@
 #include "net/Tcp.h"
 #include "spmd/Layout.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -31,16 +32,6 @@ int64_t nowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 /// Last few lines of a rank's captured stderr, for the failure report.
@@ -93,6 +84,16 @@ struct MeshDirGuard {
 
 } // namespace
 
+bool rt::readWholeFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  Out = SS.str();
+  return true;
+}
+
 std::string rt::findRtBinary(const std::string &Explicit, const char *Argv0) {
   auto Usable = [](const std::string &P) {
     return !P.empty() && ::access(P.c_str(), X_OK) == 0;
@@ -120,13 +121,12 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   LR.NumRanks = NP;
 
   int TimeoutMs = Opts.TimeoutMs;
-  if (TimeoutMs <= 0) {
-    TimeoutMs = 60000;
-    if (const char *E = std::getenv("DHPF_LAUNCH_TIMEOUT_MS")) {
-      long V = std::strtol(E, nullptr, 10);
-      if (V > 0)
-        TimeoutMs = static_cast<int>(V);
-    }
+  try {
+    if (TimeoutMs <= 0)
+      TimeoutMs = net::envMs("DHPF_LAUNCH_TIMEOUT_MS", 60000);
+  } catch (const net::TransportError &E) {
+    LR.Error = E.what();
+    return LR;
   }
 
   const char *Tmp = std::getenv("TMPDIR");
@@ -142,7 +142,8 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   std::string Dir = DirBuf.data();
   MeshDirGuard Guard{Dir, Opts.KeepDir};
 
-  // Every rank re-resolves the session from identical explicit flags.
+  // Every rank re-resolves the session from identical explicit flags:
+  // the resolved shape, never -p or --place, so no rank re-places.
   std::vector<std::string> Common = {Opts.RtBinary, Opts.SpmdPath,
                                      "--mesh", Dir};
   if (!Opts.Hosts.empty()) {
@@ -160,16 +161,8 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
     }
     Common.push_back("--hosts=" + SpecPath);
   }
-  if (!S.Shape.empty()) {
-    std::string Sh;
-    for (size_t D = 0; D != S.Shape.size(); ++D)
-      Sh += (D ? "," : "") + std::to_string(S.Shape[D]);
-    Common.push_back("--procs=" + Sh);
-  }
-  for (const auto &[K, V] : S.Config.Params)
-    Common.push_back("--param=" + K + "=" + std::to_string(V));
-  if (!S.Config.CheckValidity)
-    Common.push_back("--no-validity");
+  for (std::string &A : encodeSessionArgs(S.pinned()))
+    Common.push_back(std::move(A));
 
   std::vector<pid_t> Pids(NP, -1);
   for (unsigned R = 0; R != NP; ++R) {
@@ -313,4 +306,32 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   if (Opts.KeepDir)
     LR.Dir = Dir;
   return LR;
+}
+
+std::string rt::diffLaunch(const MergedRun &Dist, const spmd::RunResult &Ref,
+                           const spmd::Interpreter &I) {
+  std::string D = runSummary(Dist.R), R = runSummary(Ref);
+  size_t P = std::mismatch(D.begin(), D.end(), R.begin(), R.end()).first -
+             D.begin();
+  if (P != D.size() || P != R.size()) {
+    // The line holding the first difference; both share its start.
+    size_t Start = P == 0 ? 0 : D.rfind('\n', P - 1) + 1;
+    auto Line = [Start](const std::string &S) {
+      return S.substr(Start, S.find('\n', Start) - Start);
+    };
+    std::string DL = Line(D), RL = Line(R);
+    const std::string &Named = RL.empty() ? DL : RL;
+    return Named.substr(0, Named.find(' ')) + ": distributed '" + DL +
+           "' vs in-process '" + RL + "'";
+  }
+  for (const auto &[Name, A] : Dist.Arrays) {
+    const spmd::ArrayStore &B = I.array(Name);
+    if (A.size() != B.size())
+      return "array '" + Name + "' sizes differ";
+    for (size_t F = 0; F != A.size(); ++F)
+      if (std::memcmp(&A.values()[F], &B.values()[F], sizeof(double)) != 0)
+        return "array '" + Name + "' differs first at flat " +
+               std::to_string(F);
+  }
+  return "";
 }

@@ -60,6 +60,18 @@ struct LaunchResult {
 LaunchResult launchRanks(const spmd::SpmdProgram &SP, const Session &S,
                          const LaunchOptions &Opts);
 
+/// The launch oracle: compares a distributed run against the in-process
+/// run \p Ref of the same session on \p I — their runSummary() renderings
+/// line by line, then every array bitwise. Returns the first difference,
+/// naming its field or array; empty on agreement. Wall-clock time, the
+/// overlap ratio and collective frame counts measure the transport, not
+/// the program, and are not compared.
+std::string diffLaunch(const MergedRun &Dist, const spmd::RunResult &Ref,
+                       const spmd::Interpreter &I);
+
+/// Reads the whole file at \p Path; false when it cannot be opened.
+bool readWholeFile(const std::string &Path, std::string &Out);
+
 /// Locates the dhpf_rt binary: \p Explicit if nonempty, else DHPF_RT_BIN,
 /// else next to \p Argv0 (same directory, then sibling tools/dhpf_rt/).
 /// Empty string when not found.

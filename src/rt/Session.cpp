@@ -1,4 +1,4 @@
-//===- rt/Session.cpp - Shared program/semantics resolution --------------===//
+//===- rt/Session.cpp - The one run-binding front end ---------------------===//
 //
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
@@ -6,12 +6,20 @@
 
 #include "rt/Session.h"
 
+#include "core/InPlace.h"
 #include "hpf/HpfPrinter.h"
 #include "placement/Placement.h"
+#include "spmd/Serialize.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <set>
+#include <sstream>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -45,7 +53,134 @@ void genericSetup(spmd::ProgramHost &H, const spmd::SpmdProgram &SP) {
     });
 }
 
+/// Flag spellings of the engines, indexed by spmd::EngineKind.
+const char *const EngineNames[] = {"auto", "tree", "bytecode", "native"};
+
+bool parseProcs(const std::string &V, std::vector<int64_t> &Out,
+                std::string &Err) {
+  Out.clear();
+  std::istringstream SS(V + ","); // "2," must not pass as "2"
+  for (std::string Tok; std::getline(SS, Tok, ',');) {
+    int64_t X;
+    if (!rt::parseInt(Tok, X) || X < 1) {
+      Err = V.empty() ? "empty --procs list"
+                      : "invalid --procs extent '" + Tok + "' in '" + V + "'";
+      return false;
+    }
+    Out.push_back(X);
+  }
+  return true;
+}
+
 } // namespace
+
+bool rt::parseInt(const std::string &S, int64_t &Out) {
+  if (S.empty() || std::isspace(static_cast<unsigned char>(S[0])))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  long long V = std::strtoll(S.c_str(), &End, 10);
+  if (errno != 0 || End != S.c_str() + S.size())
+    return false;
+  Out = V;
+  return true;
+}
+
+bool rt::flagValue(const std::string &Arg, const std::string &Prefix,
+                   std::string &Out) {
+  if (Arg.rfind(Prefix, 0) != 0)
+    return false;
+  Out = Arg.substr(Prefix.size());
+  return true;
+}
+
+const char *rt::engineName(spmd::EngineKind E) {
+  return EngineNames[static_cast<size_t>(E)];
+}
+
+SessionArg rt::parseSessionArg(const std::vector<std::string> &Args,
+                               size_t &I, SessionOptions &SO,
+                               std::string &Err) {
+  const std::string &A = Args[I];
+  std::string V;
+  Err.clear();
+  if (A == "-p") {
+    V = I + 1 < Args.size() ? Args[++I] : "";
+    if (!parseInt(V, SO.NumProcs) || SO.NumProcs < 1)
+      Err = "invalid processor count '" + V + "'";
+  } else if (flagValue(A, "--procs=", V)) {
+    parseProcs(V, SO.ProcShape, Err);
+  } else if (flagValue(A, "--param=", V)) {
+    size_t Eq = V.find('=');
+    int64_t Val;
+    if (Eq == std::string::npos || Eq == 0 || !parseInt(V.substr(Eq + 1), Val))
+      Err = "--param expects name=value, got '" + V + "'";
+    else
+      SO.Params[V.substr(0, Eq)] = Val;
+  } else if (flagValue(A, "--engine=", V)) {
+    const char *const *It =
+        std::find(std::begin(EngineNames), std::end(EngineNames), V);
+    if (It == std::end(EngineNames))
+      Err = "unknown engine '" + V + "' (want tree|bytecode|native|auto)";
+    else
+      SO.Engine = static_cast<spmd::EngineKind>(It - std::begin(EngineNames));
+  } else if (A == "--place") {
+    SO.UsePlacement = true;
+  } else if (A == "--no-validity") {
+    SO.CheckValidity = false;
+  } else {
+    return SessionArg::NotSession;
+  }
+  return Err.empty() ? SessionArg::Taken : SessionArg::Bad;
+}
+
+bool rt::parseSessionArgs(const std::vector<std::string> &Args,
+                          SessionOptions &SO, std::string &Err) {
+  for (size_t I = 0; I != Args.size(); ++I) {
+    SessionArg R = parseSessionArg(Args, I, SO, Err);
+    if (R == SessionArg::NotSession)
+      Err = "not a session flag: '" + Args[I] + "'";
+    if (R != SessionArg::Taken)
+      return false;
+  }
+  return true;
+}
+
+std::vector<std::string> rt::encodeSessionArgs(const SessionOptions &SO) {
+  const SessionOptions Def;
+  std::vector<std::string> Out;
+  if (SO.NumProcs != Def.NumProcs)
+    Out.insert(Out.end(), {"-p", std::to_string(SO.NumProcs)});
+  std::string Procs;
+  for (int64_t E : SO.ProcShape)
+    Procs += (Procs.empty() ? "--procs=" : ",") + std::to_string(E);
+  if (!Procs.empty())
+    Out.push_back(Procs);
+  for (const auto &[K, V] : SO.Params)
+    Out.push_back("--param=" + K + "=" + std::to_string(V));
+  if (SO.Engine != Def.Engine)
+    Out.push_back(std::string("--engine=") + engineName(SO.Engine));
+  if (SO.UsePlacement)
+    Out.push_back("--place");
+  if (!SO.CheckValidity)
+    Out.push_back("--no-validity");
+  return Out;
+}
+
+std::unique_ptr<spmd::SpmdProgram> rt::loadSpmd(const std::string &Text,
+                                                const std::string &Name,
+                                                DiagnosticEngine &Diags) {
+  std::unique_ptr<spmd::SpmdProgram> SP =
+      spmd::parseSpmdProgram(Text, Diags, Name);
+  if (SP)
+    SP->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
+  return SP;
+}
+
+SessionOptions Session::pinned() const {
+  return {.ProcShape = Shape, .Params = Config.Params,
+          .CheckValidity = Config.CheckValidity, .Engine = Config.Engine};
+}
 
 void Session::setup(const spmd::SpmdProgram &SP,
                     spmd::ProgramHost &H) const {
@@ -87,6 +222,7 @@ std::optional<Session> rt::resolveSession(const spmd::SpmdProgram &SP,
   S.ProgName = SP.Source ? SP.Source->name() : "<unknown>";
   S.Config.Params = Opts.Params;
   S.Config.CheckValidity = Opts.CheckValidity;
+  S.Config.Engine = spmd::Interpreter::resolveEngine(Opts.Engine);
   S.Reg = apps::findApp(S.ProgName);
   if (S.Reg) {
     apps::AppInstance App = S.Reg->MakeCanonical();
@@ -142,4 +278,44 @@ std::optional<Session> rt::resolveSession(const spmd::SpmdProgram &SP,
     S.Config.ProcExtents[SP.ProcName] = S.Shape;
   }
   return S;
+}
+
+SessionRun rt::runSession(const spmd::SpmdProgram &SP, const Session &S,
+                          bool Check) {
+  SessionRun Run;
+  Run.Interp = std::make_unique<spmd::Interpreter>(SP, S.Config);
+  S.setup(SP, *Run.Interp);
+  Run.R = Run.Interp->run();
+  if (!Check || !S.Reg || !S.Canonical)
+    return Run;
+  apps::AppInstance App = S.Reg->MakeCanonical();
+  if (!App.Check)
+    return Run;
+  // A check sets its message only when it fails.
+  Run.Check.K = App.Check(*Run.Interp, Run.Check.Why) ? CheckVerdict::Ok
+                                                       : CheckVerdict::Failed;
+  return Run;
+}
+
+std::string rt::runSummary(const spmd::RunResult &RR) {
+  std::ostringstream OS;
+  OS << "messages " << RR.Messages << "\n"
+     << "bytes " << RR.Bytes << "\n"
+     << "stmt_instances " << RR.StmtInstances << "\n"
+     << "span_copies " << RR.SpanCopies << "\n"
+     << "packed_copies " << RR.PackedCopies << "\n"
+     << "inplace_upgrades " << RR.InPlaceRuntimeUpgrades << "\n"
+     << "valid " << (RR.Valid ? 1 : 0) << "\n";
+  for (const std::string &V : RR.Violations)
+    OS << "violation " << V << "\n";
+  for (const auto &Acc : RR.FinalAccums) {
+    uint64_t Bits;
+    static_assert(sizeof(Bits) == sizeof(double), "accum bit rendering");
+    std::memcpy(&Bits, &Acc.second, sizeof(Bits));
+    char B[32];
+    std::snprintf(B, sizeof(B), "%016llx",
+                  static_cast<unsigned long long>(Bits));
+    OS << "accum " << Acc.first << " " << B << "\n";
+  }
+  return OS.str();
 }

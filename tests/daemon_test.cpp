@@ -10,7 +10,8 @@
 //   - N concurrent clients posting the same request fingerprint collapse
 //     to ONE compile (CompilesStarted +1, Requests +N);
 //   - a daemon-side run renders the same wall-clock-free summary as a
-//     local run of the same program;
+//     local run of the same program, under every session flag (shape,
+//     engine, parameters), and a bad session is an error reply;
 //   - a malformed request draws an error reply and leaves both the
 //     connection and the daemon serving;
 //   - stop() persists the OpCache and a new daemon starts warm from it;
@@ -136,6 +137,25 @@ TEST(DaemonCompile, ConcurrentSameFingerprintDedupsToOneCompile) {
     EXPECT_EQ(Spmd[I], Spmd[0]) << "client " << I;
 }
 
+/// The local side of a daemon run: the same program and session resolved
+/// and run in this process.
+SessionRun runLocally(const std::string &Spmd, const SessionOptions &SO,
+                      std::unique_ptr<spmd::SpmdProgram> &SP) {
+  DiagnosticEngine Diags;
+  Expected<std::unique_ptr<spmd::SpmdProgram>> Parsed =
+      spmd::parseSpmdProgram(Spmd, Diags, "<run>");
+  EXPECT_TRUE(bool(Parsed)) << Diags.str();
+  if (!Parsed)
+    return SessionRun();
+  SP = std::move(Parsed).take();
+  std::string Err;
+  std::optional<Session> S = resolveSession(*SP, SO, Err);
+  EXPECT_TRUE(S.has_value()) << Err;
+  if (!S)
+    return SessionRun();
+  return runSession(*SP, *S, /*Check=*/true);
+}
+
 TEST(DaemonRun, SummaryMatchesLocalRun) {
   ScopedDaemon SD;
   std::string Source = appSource(apps::makeJacobi, 12, 2);
@@ -148,18 +168,102 @@ TEST(DaemonRun, SummaryMatchesLocalRun) {
   DaemonRunResult Remote = daemonRun(*S, C.Spmd, SO, /*Check=*/true);
   ASSERT_TRUE(Remote.Ok) << Remote.Error;
 
-  DiagnosticEngine Diags;
-  Expected<std::unique_ptr<spmd::SpmdProgram>> Parsed =
-      spmd::parseSpmdProgram(C.Spmd, Diags, "<run>");
-  ASSERT_TRUE(bool(Parsed)) << Diags.str();
-  std::unique_ptr<spmd::SpmdProgram> SP = std::move(Parsed).take();
-  std::string Local, Err;
-  ASSERT_TRUE(runForSummary(*SP, SO, /*Check=*/true, Local, Err)) << Err;
+  std::unique_ptr<spmd::SpmdProgram> SP;
+  SessionRun Local = runLocally(C.Spmd, SO, SP);
+  ASSERT_TRUE(Local.Interp);
 
   // Wall-clock-free summaries: equal strings <=> bit-identical runs.
-  EXPECT_EQ(Remote.Summary, Local);
+  EXPECT_EQ(Remote.Summary, runSummary(Local.R));
+  EXPECT_EQ(Remote.Check.K, Local.Check.K);
+  EXPECT_EQ(Remote.Check.Why, Local.Check.Why);
+  EXPECT_TRUE(Remote.Valid);
   EXPECT_NE(Remote.Summary.find("valid 1\n"), std::string::npos)
       << Remote.Summary;
+}
+
+/// A program with a run parameter on a symbolic 2-D grid, so the shape,
+/// the parameter and the engine all change what the daemon must run.
+const char *const ParamStencil = R"(program pstencil
+param N
+processors PR(*PV, *PH)
+template T(1:12, 1:12)
+array U(1:12, 1:12) align (a0,a1) with T(a0,a1)
+array V(1:12, 1:12) align (a0,a1) with T(a0,a1)
+distribute T(block, block) onto PR
+
+procedure main
+  nest sweep
+    do i = 2, N
+    do j = 2, 11
+    V(i,j) = U(i-1,j) U(i+1,j) U(i,j-1) U(i,j+1) cost 5 sem 0
+  endnest
+endprocedure
+)";
+
+/// Every session flag reaches the daemon: an explicit 1x4 shape, the tree
+/// engine and a parameter binding produce the local run's summary, and
+/// dropping either the shape or the parameter would not.
+TEST(DaemonRun, ShapeEngineAndParamTravel) {
+  ScopedDaemon SD;
+  std::unique_ptr<net::MsgStream> S = SD.connect();
+  DaemonCompileResult C =
+      daemonCompile(*S, "<pstencil>", ParamStencil, CompilerOptions());
+  ASSERT_TRUE(C.Ok) << C.DiagText;
+
+  SessionOptions SO;
+  SO.ProcShape = {1, 4};
+  SO.Engine = spmd::EngineKind::Tree;
+  SO.Params = {{"N", 9}};
+  DaemonRunResult Remote = daemonRun(*S, C.Spmd, SO, /*Check=*/true);
+  ASSERT_TRUE(Remote.Ok) << Remote.Error;
+  EXPECT_TRUE(Remote.Valid);
+  EXPECT_EQ(Remote.Check.K, CheckVerdict::Skipped);
+
+  std::unique_ptr<spmd::SpmdProgram> SP;
+  SessionRun Local = runLocally(C.Spmd, SO, SP);
+  ASSERT_TRUE(Local.Interp);
+  EXPECT_EQ(Remote.Summary, runSummary(Local.R));
+
+  // The flags matter: the default -p 4 shape (4x1 for an unregistered
+  // program) and another parameter value both change the summary.
+  SessionOptions NoShape = SO;
+  NoShape.ProcShape.clear();
+  SessionRun Other = runLocally(C.Spmd, NoShape, SP);
+  ASSERT_TRUE(Other.Interp);
+  EXPECT_NE(Remote.Summary, runSummary(Other.R));
+  SessionOptions OtherParam = SO;
+  OtherParam.Params["N"] = 11;
+  Other = runLocally(C.Spmd, OtherParam, SP);
+  ASSERT_TRUE(Other.Interp);
+  EXPECT_NE(Remote.Summary, runSummary(Other.R));
+}
+
+/// The daemon decodes the session with the strict parser: a malformed
+/// flag or an undeclared parameter is an error reply naming it.
+TEST(DaemonRun, BadSessionIsAnErrorReply) {
+  ScopedDaemon SD;
+  std::unique_ptr<net::MsgStream> S = SD.connect();
+  DaemonCompileResult C =
+      daemonCompile(*S, "<pstencil>", ParamStencil, CompilerOptions());
+  ASSERT_TRUE(C.Ok) << C.DiagText;
+
+  SessionOptions SO;
+  SO.Params = {{"BOGUS", 3}};
+  DaemonRunResult R = daemonRun(*S, C.Spmd, SO, /*Check=*/true);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("unknown parameter 'BOGUS'"), std::string::npos)
+      << R.Error;
+
+  std::string Payload = "blob session 12\n--procs=2,x\n\nblob spmd " +
+                        std::to_string(C.Spmd.size()) + "\n" + C.Spmd + "\n";
+  S->send(MsgRunReq, Payload);
+  uint64_t Tag = 0;
+  std::string Reply;
+  ASSERT_TRUE(S->recv(Tag, Reply));
+  EXPECT_EQ(Tag, uint64_t(MsgOkResp));
+  EXPECT_NE(Reply.find("kv ok 0"), std::string::npos) << Reply;
+  EXPECT_NE(Reply.find("invalid --procs extent 'x'"), std::string::npos)
+      << Reply;
 }
 
 TEST(DaemonFault, MalformedRequestKeepsDaemonServing) {

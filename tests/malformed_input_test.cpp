@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A corpus of malformed inputs for every textual front end — mini-HPF
-/// programs, set/relation text, serialized SPMD programs, and run
-/// parameters. Each case
+/// programs, set/relation text, serialized SPMD programs, session flags
+/// and run parameters. Each case
 /// must be rejected with an error diagnostic on the expected line, without
 /// crashing and without asserting, so the behavior is identical in Debug
 /// and Release builds (this file is part of the Release CI job). A
@@ -240,6 +240,72 @@ TEST(MalformedInput, UnknownRunParameter) {
   EXPECT_FALSE(rt::resolveSession(SP, SO, Err));
   EXPECT_NE(Err.find("unknown parameter 'BOGUS'"), std::string::npos) << Err;
   EXPECT_NE(Err.find("declared: N"), std::string::npos) << Err;
+}
+
+/// The session flags (`dhpfc`, `dhpf_rt` and the daemon's run request all
+/// decode them with rt::parseSessionArg): every malformed value is a named
+/// error, never a default, a truncated number or a later assertion.
+TEST(MalformedInput, SessionFlags) {
+  struct FlagCase {
+    std::vector<std::string> Args;
+    const char *Needle; ///< must appear in the diagnostic
+  };
+  const FlagCase Cases[] = {
+      {{"--procs=2,x"}, "invalid --procs extent 'x'"},
+      {{"--procs="}, "empty --procs list"},
+      {{"--procs=2,"}, "invalid --procs extent ''"},
+      {{"--procs=0,4"}, "invalid --procs extent '0'"},
+      {{"--param=N"}, "--param expects name=value, got 'N'"},
+      {{"--param==3"}, "--param expects name=value, got '=3'"},
+      {{"--param=N=3x"}, "--param expects name=value, got 'N=3x'"},
+      {{"--engine=bogus"}, "unknown engine 'bogus'"},
+      {{"-p", "0"}, "invalid processor count '0'"},
+      {{"-p", "4x"}, "invalid processor count '4x'"},
+      {{"-p", "99999999999999999999"}, "invalid processor count"},
+      {{"-p"}, "invalid processor count ''"},
+  };
+  for (const FlagCase &C : Cases) {
+    rt::SessionOptions SO;
+    size_t I = 0;
+    std::string Err;
+    EXPECT_EQ(rt::parseSessionArg(C.Args, I, SO, Err), rt::SessionArg::Bad)
+        << C.Args[0];
+    EXPECT_NE(Err.find(C.Needle), std::string::npos)
+        << C.Args[0] << ": " << Err;
+    // The whole-list form (the daemon's) rejects it the same way.
+    std::string ListErr;
+    EXPECT_FALSE(rt::parseSessionArgs(C.Args, SO, ListErr)) << C.Args[0];
+    EXPECT_EQ(ListErr, Err);
+  }
+  rt::SessionOptions SO;
+  std::string Err;
+  EXPECT_FALSE(rt::parseSessionArgs({"--rank=0"}, SO, Err));
+  EXPECT_NE(Err.find("not a session flag: '--rank=0'"), std::string::npos)
+      << Err;
+}
+
+/// encodeSessionArgs writes what parseSessionArgs reads back: the launcher
+/// and the daemon client rely on the round trip.
+TEST(MalformedInput, SessionFlagsRoundTrip) {
+  rt::SessionOptions SO;
+  SO.NumProcs = 8;
+  SO.ProcShape = {2, 4};
+  SO.Params = {{"N", 12}, {"M", -3}};
+  SO.CheckValidity = false;
+  SO.UsePlacement = true;
+  SO.Engine = spmd::EngineKind::Native;
+  std::vector<std::string> Args = rt::encodeSessionArgs(SO);
+  rt::SessionOptions Back;
+  std::string Err;
+  ASSERT_TRUE(rt::parseSessionArgs(Args, Back, Err)) << Err;
+  EXPECT_EQ(Back.NumProcs, SO.NumProcs);
+  EXPECT_EQ(Back.ProcShape, SO.ProcShape);
+  EXPECT_EQ(Back.Params, SO.Params);
+  EXPECT_EQ(Back.CheckValidity, SO.CheckValidity);
+  EXPECT_EQ(Back.UsePlacement, SO.UsePlacement);
+  EXPECT_EQ(Back.Engine, SO.Engine);
+  // Defaults encode to nothing.
+  EXPECT_TRUE(rt::encodeSessionArgs(rt::SessionOptions()).empty());
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "net/Loopback.h"
 #include "net/Socket.h"
 #include "obs/Trace.h"
+#include "rt/Launch.h"
 #include "rt/RankEngine.h"
 #include "rt/RankResult.h"
 #include "spmd/Interp.h"
@@ -180,6 +181,41 @@ void checkApp(const Subject &S, const std::vector<int64_t> &Shape) {
   // counters (they already both equal Ref; this documents the oracle).
   EXPECT_EQ(Loop.R.Messages, Sock.R.Messages);
   EXPECT_EQ(Loop.R.Bytes, Sock.R.Bytes);
+}
+
+/// The launch oracle (`dhpfc launch`'s in-process agreement check) passes
+/// an agreeing run and names the first field or array that differs.
+TEST(RtExec, LaunchOracleNamesFirstDifference) {
+  std::vector<Subject> Subs = subjects();
+  const Subject &S = Subs[0];
+  auto Compiled = core::compileProgram(*S.App.Prog);
+  ASSERT_TRUE(Compiled);
+  const spmd::SpmdProgram &SP = Compiled->Program;
+  spmd::RunConfig RC;
+  RC.ProcExtents[S.App.ProcArrayName] = S.Shape4;
+  spmd::Interpreter I(SP, RC);
+  S.App.Setup(I);
+  spmd::RunResult Ref = I.run();
+  rt::MergedRun Dist = runDistributed(SP, S.App, RC, Mesh::Loopback);
+  EXPECT_EQ(rt::diffLaunch(Dist, Ref, I), "");
+
+  rt::MergedRun Bad = Dist;
+  ++Bad.R.Bytes;
+  ++Bad.R.StmtInstances;
+  EXPECT_EQ(rt::diffLaunch(Bad, Ref, I).rfind("bytes: distributed 'bytes ", 0),
+            0u)
+      << rt::diffLaunch(Bad, Ref, I);
+  Bad = Dist;
+  ASSERT_FALSE(Bad.R.FinalAccums.empty());
+  Bad.R.FinalAccums.begin()->second += 1.0;
+  EXPECT_EQ(rt::diffLaunch(Bad, Ref, I).rfind("accum: ", 0), 0u)
+      << rt::diffLaunch(Bad, Ref, I);
+  Bad = Dist;
+  spmd::ArrayStore &A = Bad.Arrays.begin()->second;
+  A.at(A.size() - 1) += 1.0;
+  EXPECT_EQ(rt::diffLaunch(Bad, Ref, I),
+            "array '" + Bad.Arrays.begin()->first + "' differs first at flat " +
+                std::to_string(A.size() - 1));
 }
 
 TEST(RtExec, JacobiP1) { checkApp(subjects()[0], subjects()[0].Shape1); }

@@ -11,7 +11,10 @@
 /// result dump (hex-bit doubles) for the launcher to merge.
 ///
 ///   dhpf_rt <prog.spmd> --rank=R --mesh <dir> --result=<file>
-///           [--procs=a,b,...] [--param=k=v]... [--no-validity]
+///           [--hosts=<spec>] [session flags: -p, --procs, --param, ...]
+///
+/// The session flags go through rt/Session's parser, as in `dhpfc`; the
+/// launcher encodes them with the resolved shape pinned by `--procs`.
 ///
 /// Exit 0 on success (even with validity violations — those travel in the
 /// dump for the merged report), 1 on any transport/runtime failure, 2 on a
@@ -20,7 +23,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/InPlace.h"
 #include "net/Socket.h"
 #include "net/Tcp.h"
 #include "obs/Trace.h"
@@ -31,11 +33,9 @@
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,90 +52,85 @@ struct RtOptions {
   rt::SessionOptions Session;
 };
 
-int usage() {
-  std::cerr << "usage: dhpf_rt <prog.spmd> --rank=R --mesh <dir> "
-               "--result=<file> [--hosts=<spec>] [--procs=a,b] "
-               "[--param=k=v] [--no-validity]\n";
-  return 2;
-}
+const char Usage[] =
+    "usage: dhpf_rt <prog.spmd> --rank=R --mesh <dir> --result=<file> "
+    "[--hosts=<spec>] [session flags: -p N, --procs=a,b, --param=k=v, "
+    "--place, --engine=e, --no-validity]\n";
 
 /// Accepts both `--opt=value` and `--opt value`.
-bool takeValue(const std::string &Arg, const std::string &Name, int Argc,
-               char **Argv, int &I, std::string &Out) {
-  if (Arg.rfind(Name + "=", 0) == 0) {
-    Out = Arg.substr(Name.size() + 1);
+bool takeValue(const std::vector<std::string> &Args, const std::string &Name,
+               size_t &I, std::string &Out) {
+  if (rt::flagValue(Args[I], Name + "=", Out))
     return true;
-  }
-  if (Arg == Name && I + 1 < Argc) {
-    Out = Argv[++I];
+  if (Args[I] == Name && I + 1 < Args.size()) {
+    Out = Args[++I];
     return true;
   }
   return false;
 }
 
-bool parseArgs(int Argc, char **Argv, RtOptions &O) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
+/// False with \p Err naming the offending argument on a usage error.
+bool parseArgs(const std::vector<std::string> &Args, RtOptions &O,
+               std::string &Err) {
+  for (size_t I = 0; I < Args.size(); ++I) {
+    const std::string &Arg = Args[I];
     std::string V;
-    if (takeValue(Arg, "--rank", Argc, Argv, I, V)) {
-      O.Rank = std::strtol(V.c_str(), nullptr, 10);
-    } else if (takeValue(Arg, "--mesh", Argc, Argv, I, V)) {
-      O.MeshDir = V;
-    } else if (takeValue(Arg, "--hosts", Argc, Argv, I, V)) {
-      O.HostsPath = V;
-    } else if (takeValue(Arg, "--result", Argc, Argv, I, V)) {
-      O.ResultPath = V;
-    } else if (takeValue(Arg, "--procs", Argc, Argv, I, V)) {
-      std::istringstream SS(V);
-      std::string Tok;
-      while (std::getline(SS, Tok, ','))
-        O.Session.ProcShape.push_back(
-            std::strtoll(Tok.c_str(), nullptr, 10));
-    } else if (takeValue(Arg, "--param", Argc, Argv, I, V)) {
-      size_t Eq = V.find('=');
-      if (Eq == std::string::npos)
+    rt::SessionArg SA = rt::parseSessionArg(Args, I, O.Session, Err);
+    if (SA == rt::SessionArg::Bad)
+      return false;
+    if (SA == rt::SessionArg::Taken)
+      continue;
+    if (takeValue(Args, "--rank", I, V)) {
+      int64_t R;
+      if (!rt::parseInt(V, R) || R < 0 || R > INT32_MAX) {
+        Err = "invalid --rank '" + V + "'";
         return false;
-      O.Session.Params[V.substr(0, Eq)] =
-          std::strtoll(V.c_str() + Eq + 1, nullptr, 10);
-    } else if (Arg == "--no-validity") {
-      O.Session.CheckValidity = false;
+      }
+      O.Rank = R;
+    } else if (takeValue(Args, "--mesh", I, V)) {
+      O.MeshDir = V;
+    } else if (takeValue(Args, "--hosts", I, V)) {
+      O.HostsPath = V;
+    } else if (takeValue(Args, "--result", I, V)) {
+      O.ResultPath = V;
     } else if (!Arg.empty() && Arg[0] != '-' && O.SpmdPath.empty()) {
       O.SpmdPath = Arg;
     } else {
+      Err = "unexpected argument '" + Arg + "'";
       return false;
     }
   }
-  return !O.SpmdPath.empty() && !O.MeshDir.empty() &&
-         !O.ResultPath.empty() && O.Rank >= 0;
+  if (O.SpmdPath.empty() || O.MeshDir.empty() || O.ResultPath.empty() ||
+      O.Rank < 0) {
+    Err = "missing <prog.spmd>, --rank, --mesh or --result";
+    return false;
+  }
+  return true;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   RtOptions O;
-  if (!parseArgs(Argc, Argv, O))
-    return usage();
+  std::string Err;
+  if (!parseArgs(std::vector<std::string>(Argv + 1, Argv + Argc), O, Err)) {
+    std::cerr << "dhpf_rt: " << Err << "\n" << Usage;
+    return 2;
+  }
 
-  std::ifstream In(O.SpmdPath, std::ios::binary);
-  if (!In) {
+  std::string Text;
+  if (!rt::readWholeFile(O.SpmdPath, Text)) {
     std::cerr << "dhpf_rt rank " << O.Rank << ": cannot read "
               << O.SpmdPath << "\n";
     return 1;
   }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-
   DiagnosticEngine Diags;
   std::unique_ptr<spmd::SpmdProgram> SP =
-      spmd::parseSpmdProgram(SS.str(), Diags, O.SpmdPath);
-  if (!Diags.empty())
-    std::cerr << Diags.str();
+      rt::loadSpmd(Text, O.SpmdPath, Diags);
+  std::cerr << Diags.str();
   if (!SP)
     return 1;
-  // Rewire the runtime contiguity check the serialized form cannot carry.
-  SP->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
 
-  std::string Err;
   std::optional<rt::Session> S = rt::resolveSession(*SP, O.Session, Err);
   if (!S) {
     std::cerr << "dhpf_rt rank " << O.Rank << ": " << Err << "\n";

@@ -26,7 +26,6 @@
 #include "coll/Collective.h"
 #include "core/Compiler.h"
 #include "core/CompilerService.h"
-#include "core/InPlace.h"
 #include "hpf/HpfPrinter.h"
 #include "net/Server.h"
 #include "obs/Trace.h"
@@ -40,16 +39,12 @@
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -170,15 +165,10 @@ int printVersion() {
 }
 
 bool readFile(const std::string &Path, std::string &Out, std::string &Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Err = "cannot open '" + Path + "' for reading";
-    return false;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
+  if (rt::readWholeFile(Path, Out))
+    return true;
+  Err = "cannot open '" + Path + "' for reading";
+  return false;
 }
 
 bool writeFile(const std::string &Path, const std::string &Text,
@@ -201,21 +191,12 @@ bool writeFile(const std::string &Path, const std::string &Text,
   return true;
 }
 
-void flushDiags(DiagnosticEngine &Diags) {
-  if (!Diags.empty())
-    std::cerr << Diags.str();
-  Diags.clear();
-}
-
 struct CliOptions {
   std::string Input;
   std::string Output;
   std::string DumpAfter;
-  std::string Engine;
   std::string ExportDir = ".";
-  int64_t NumProcs = 4;
-  std::vector<int64_t> ProcShape; ///< --procs override; empty = derive
-  std::map<std::string, int64_t> Params;
+  rt::SessionOptions Session; ///< -p/--procs/--param/--place/--engine/...
   bool NoSplit = false;
   bool NoCoalesce = false;
   bool NoInPlace = false;
@@ -223,13 +204,11 @@ struct CliOptions {
   unsigned Threads = 0;
   bool Stats = false;
   bool NoCheck = false;
-  bool NoValidity = false;
   std::string KernelCache; ///< --kernel-cache= native cache dir override
   std::string Server;  ///< --server= daemon socket (empty = in-process)
   std::string RtBin;   ///< --rt-bin override for launch
   std::string Hosts;   ///< --hosts= TCP rank spec ('auto' = loopback)
   std::string Coll;    ///< --coll= reduction collective algorithm
-  bool Place = false;  ///< --place: cost-model processor shape
   int TimeoutMs = 0;   ///< --timeout-ms launch deadline
   bool KeepMesh = false;
   std::string TracePath;   ///< --trace= (or DHPF_TRACE)
@@ -243,93 +222,46 @@ std::vector<std::string> &extraTraceDocs() {
   return Docs;
 }
 
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (errno != 0 || End != S.c_str() + S.size())
-    return false;
-  Out = V;
-  return true;
-}
-
 /// Parses everything after the subcommand. Returns false (after printing
-/// the offending option) on a usage error.
-bool parseArgs(int Argc, char **Argv, CliOptions &O) {
-  auto Value = [](const std::string &A, const char *Pfx,
-                  std::string &Out) -> bool {
-    std::string P(Pfx);
-    if (A.rfind(P, 0) != 0)
+/// the offending option) on a usage error. The session flags go to
+/// rt/Session's parser.
+bool parseArgs(const std::vector<std::string> &Args, CliOptions &O) {
+  for (size_t I = 0; I < Args.size(); ++I) {
+    std::string Err;
+    rt::SessionArg SA = rt::parseSessionArg(Args, I, O.Session, Err);
+    if (SA == rt::SessionArg::Bad) {
+      std::cerr << "dhpfc: " << Err << "\n";
       return false;
-    Out = A.substr(P.size());
-    return true;
-  };
-  for (int I = 2; I < Argc; ++I) {
-    std::string A = Argv[I];
+    }
+    if (SA == rt::SessionArg::Taken)
+      continue;
+    const std::string &A = Args[I];
     std::string V;
-    if (A == "-o" || A == "-p" || A == "-d") {
-      if (I + 1 >= Argc) {
+    if (A == "-o" || A == "-d") {
+      if (I + 1 >= Args.size()) {
         std::cerr << "dhpfc: " << A << " requires a value\n";
         return false;
       }
-      V = Argv[++I];
-      if (A == "-o")
-        O.Output = V;
-      else if (A == "-d")
-        O.ExportDir = V;
-      else if (!parseInt(V, O.NumProcs) || O.NumProcs < 1) {
-        std::cerr << "dhpfc: invalid processor count '" << V << "'\n";
-        return false;
-      }
-    } else if (Value(A, "-dump-after=", V) ||
-               Value(A, "--dump-after=", V)) {
+      (A == "-o" ? O.Output : O.ExportDir) = Args[++I];
+    } else if (rt::flagValue(A, "-dump-after=", V) ||
+               rt::flagValue(A, "--dump-after=", V)) {
       O.DumpAfter = V;
-    } else if (Value(A, "--engine=", V)) {
-      O.Engine = V;
-    } else if (Value(A, "--kernel-cache=", V)) {
+    } else if (rt::flagValue(A, "--kernel-cache=", V)) {
       O.KernelCache = V;
-    } else if (Value(A, "--server=", V)) {
+    } else if (rt::flagValue(A, "--server=", V)) {
       O.Server = V;
-    } else if (Value(A, "--threads=", V)) {
+    } else if (rt::flagValue(A, "--threads=", V)) {
       int64_t N;
-      if (!parseInt(V, N) || N < 0) {
+      if (!rt::parseInt(V, N) || N < 0 || N > 4096) {
         std::cerr << "dhpfc: invalid thread count '" << V << "'\n";
         return false;
       }
       O.Threads = static_cast<unsigned>(N);
-    } else if (Value(A, "--procs=", V)) {
-      std::stringstream SS(V);
-      std::string Tok;
-      O.ProcShape.clear();
-      while (std::getline(SS, Tok, ',')) {
-        int64_t E;
-        if (!parseInt(Tok, E) || E < 1) {
-          std::cerr << "dhpfc: invalid --procs extent '" << Tok << "'\n";
-          return false;
-        }
-        O.ProcShape.push_back(E);
-      }
-      if (O.ProcShape.empty()) {
-        std::cerr << "dhpfc: empty --procs list\n";
-        return false;
-      }
-    } else if (Value(A, "--param=", V)) {
-      size_t Eq = V.find('=');
-      int64_t Val;
-      if (Eq == std::string::npos || Eq == 0 ||
-          !parseInt(V.substr(Eq + 1), Val)) {
-        std::cerr << "dhpfc: --param expects name=value, got '" << V
-                  << "'\n";
-        return false;
-      }
-      O.Params[V.substr(0, Eq)] = Val;
-    } else if (Value(A, "--rt-bin=", V)) {
+    } else if (rt::flagValue(A, "--rt-bin=", V)) {
       O.RtBin = V;
-    } else if (Value(A, "--hosts=", V)) {
+    } else if (rt::flagValue(A, "--hosts=", V)) {
       O.Hosts = V;
-    } else if (Value(A, "--coll=", V)) {
+    } else if (rt::flagValue(A, "--coll=", V)) {
       try {
         coll::parseAlgo(V);
       } catch (const net::TransportError &) {
@@ -338,21 +270,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         return false;
       }
       O.Coll = V;
-    } else if (Value(A, "--timeout-ms=", V)) {
+    } else if (rt::flagValue(A, "--timeout-ms=", V)) {
       int64_t N;
-      if (!parseInt(V, N) || N < 1) {
+      if (!rt::parseInt(V, N) || N < 1 || N > INT32_MAX) {
         std::cerr << "dhpfc: invalid --timeout-ms '" << V << "'\n";
         return false;
       }
       O.TimeoutMs = static_cast<int>(N);
-    } else if (Value(A, "--trace=", V)) {
+    } else if (rt::flagValue(A, "--trace=", V)) {
       O.TracePath = V;
-    } else if (Value(A, "--metrics=", V)) {
+    } else if (rt::flagValue(A, "--metrics=", V)) {
       O.MetricsPath = V;
     } else if (A == "--keep-mesh") {
       O.KeepMesh = true;
-    } else if (A == "--place") {
-      O.Place = true;
     } else if (A == "--no-split") {
       O.NoSplit = true;
     } else if (A == "--no-coalesce") {
@@ -365,8 +295,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.Stats = true;
     } else if (A == "--no-check") {
       O.NoCheck = true;
-    } else if (A == "--no-validity") {
-      O.NoValidity = true;
     } else if (!A.empty() && A[0] == '-') {
       std::cerr << "dhpfc: unknown option '" << A << "'\n";
       return false;
@@ -396,14 +324,15 @@ struct CompiledUnit {
   std::string Spmd; ///< serialized program text
 };
 
-/// Connects to --server's daemon; prints and rethrows nothing — a
-/// connection failure is reported and null returned.
-std::unique_ptr<net::MsgStream> connectServer(const CliOptions &O) {
+/// Runs \p F on a connection to --server's daemon and returns its exit
+/// code; a connection or transport failure is reported and exits 1.
+template <typename Fn> int withServer(const CliOptions &O, Fn &&F) {
   try {
-    return net::connectClient(O.Server);
+    std::unique_ptr<net::MsgStream> Stream = net::connectClient(O.Server);
+    return F(*Stream);
   } catch (const net::TransportError &E) {
     std::cerr << "dhpfc: " << E.what() << "\n";
-    return nullptr;
+    return 1;
   }
 }
 
@@ -418,31 +347,22 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
     std::cerr << "dhpfc: " << Err << "\n";
     return false;
   }
-  if (!O.Server.empty()) {
-    std::unique_ptr<net::MsgStream> Stream = connectServer(O);
-    if (!Stream)
-      return false;
-    try {
-      rt::DaemonCompileResult R =
-          rt::daemonCompile(*Stream, Path, Text, compilerOptions(O));
-      if (!R.DiagText.empty())
-        std::cerr << R.DiagText;
-      if (!R.Ok)
-        return false;
-      if (O.Stats) {
-        std::cout << "compiled '" << R.ProgName << "' (" << Path
-                  << ") on daemon " << O.Server << ", served " << R.Served
-                  << "\n"
-                  << R.StatsText;
-      }
-      Out.ProgName = R.ProgName;
-      Out.Spmd = std::move(R.Spmd);
-      return true;
-    } catch (const net::TransportError &E) {
-      std::cerr << "dhpfc: " << E.what() << "\n";
-      return false;
-    }
-  }
+  if (!O.Server.empty())
+    return withServer(O, [&](net::MsgStream &S) {
+             rt::DaemonCompileResult R =
+                 rt::daemonCompile(S, Path, Text, compilerOptions(O));
+             std::cerr << R.DiagText;
+             if (!R.Ok)
+               return 1;
+             if (O.Stats)
+               std::cout << "compiled '" << R.ProgName << "' (" << Path
+                         << ") on daemon " << O.Server << ", served "
+                         << R.Served << "\n"
+                         << R.StatsText;
+             Out.ProgName = R.ProgName;
+             Out.Spmd = std::move(R.Spmd);
+             return 0;
+           }) == 0;
   core::CompileRequest R;
   R.Name = Path;
   R.Source = std::move(Text);
@@ -463,64 +383,37 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
   return true;
 }
 
+bool isHpfPath(const std::string &Path) {
+  return Path.size() > 4 && Path.compare(Path.size() - 4, 4, ".hpf") == 0;
+}
+
 /// Reparses a serialized program for in-process execution, wiring the
 /// runtime contiguity check the serialized form cannot carry.
 std::unique_ptr<spmd::SpmdProgram> reparseSpmd(const std::string &Text,
                                                const std::string &Name) {
   DiagnosticEngine Diags;
-  std::unique_ptr<spmd::SpmdProgram> SP =
-      spmd::parseSpmdProgram(Text, Diags, Name);
-  flushDiags(Diags);
-  if (SP)
-    SP->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
+  std::unique_ptr<spmd::SpmdProgram> SP = rt::loadSpmd(Text, Name, Diags);
+  std::cerr << Diags.str();
   return SP;
 }
 
-bool parseEngine(const std::string &S, spmd::EngineKind &Out) {
-  if (S.empty() || S == "auto")
-    Out = spmd::EngineKind::Auto;
-  else if (S == "tree")
-    Out = spmd::EngineKind::Tree;
-  else if (S == "bytecode")
-    Out = spmd::EngineKind::Bytecode;
-  else if (S == "native")
-    Out = spmd::EngineKind::Native;
-  else
-    return false;
-  return true;
-}
-
-const char *engineName(spmd::EngineKind E) {
-  switch (spmd::Interpreter::resolveEngine(E)) {
-  case spmd::EngineKind::Tree:
-    return "tree";
-  case spmd::EngineKind::Native:
-    return "native";
-  default:
-    return "bytecode";
-  }
-}
-
-/// Materializes the engine-affecting options into the environment, so the
-/// in-process engines, the version banner, and — crucially — the rank
-/// processes a launch forks all resolve them identically.
-void applyEngineEnv(const CliOptions &O) {
-  if (!O.Engine.empty() && O.Engine != "auto")
-    ::setenv("DHPF_SPMD_ENGINE", O.Engine.c_str(), 1);
+/// Materializes the runtime options that are not session flags into the
+/// environment, so the in-process engines and the rank processes a launch
+/// forks resolve them identically. (The engine is a session flag: ranks
+/// receive it in their argv.)
+void applyRuntimeEnv(const CliOptions &O) {
   if (!O.KernelCache.empty())
     ::setenv("DHPF_KERNEL_CACHE", O.KernelCache.c_str(), 1);
   if (!O.Coll.empty())
     ::setenv("DHPF_COLL", O.Coll.c_str(), 1);
 }
 
-rt::SessionOptions sessionOptions(const CliOptions &O) {
-  rt::SessionOptions SO;
-  SO.NumProcs = O.NumProcs;
-  SO.ProcShape = O.ProcShape;
-  SO.Params = O.Params;
-  SO.CheckValidity = !O.NoValidity;
-  SO.UsePlacement = O.Place;
-  return SO;
+/// A processor shape as "2x4".
+std::string shapeStr(const std::vector<int64_t> &Sh) {
+  std::string S;
+  for (size_t D = 0; D != Sh.size(); ++D)
+    S += (D ? "x" : "") + std::to_string(Sh[D]);
+  return S;
 }
 
 void printRunHeader(const rt::Session &S, const char *How) {
@@ -528,12 +421,9 @@ void printRunHeader(const rt::Session &S, const char *How) {
   for (int64_t E : S.Shape)
     TotalProcs *= E;
   std::cout << "ran '" << S.ProgName << "'";
-  if (!S.Shape.empty()) {
-    std::cout << " on " << TotalProcs << " procs (";
-    for (size_t D = 0; D != S.Shape.size(); ++D)
-      std::cout << (D ? "x" : "") << S.Shape[D];
-    std::cout << ")";
-  }
+  if (!S.Shape.empty())
+    std::cout << " on " << TotalProcs << " procs (" << shapeStr(S.Shape)
+              << ")";
   std::cout << ", " << How << "\n";
 }
 
@@ -568,120 +458,68 @@ int reportInvalid(const spmd::RunResult &RR) {
 /// process exit code.
 int runProgram(const spmd::SpmdProgram &SP, const CliOptions &O) {
   std::string Err;
-  std::optional<rt::Session> S = rt::resolveSession(SP, sessionOptions(O), Err);
+  std::optional<rt::Session> S = rt::resolveSession(SP, O.Session, Err);
   if (!S) {
     std::cerr << "dhpfc: " << Err << "\n";
     return 2;
   }
-  spmd::RunConfig RC = S->Config;
   if (O.Sequential)
-    RC.ExecThreads = 1;
-  if (!parseEngine(O.Engine, RC.Engine)) {
-    std::cerr << "dhpfc: unknown engine '" << O.Engine
-              << "' (want tree|bytecode|native|auto)\n";
-    return 2;
-  }
-  applyEngineEnv(O);
+    S->Config.ExecThreads = 1;
+  applyRuntimeEnv(O);
 
-  spmd::Interpreter I(SP, RC);
-  S->setup(SP, I);
-  spmd::RunResult RR = I.run();
-
-  printRunHeader(*S, (std::string("engine ") + engineName(RC.Engine)).c_str());
+  rt::SessionRun Run = rt::runSession(SP, *S, !O.NoCheck);
+  printRunHeader(
+      *S, (std::string("engine ") + rt::engineName(S->Config.Engine)).c_str());
   if (O.Stats)
-    printRunStats(RR, "simulated time");
-  if (!RR.Valid)
-    return reportInvalid(RR);
-  if (!O.NoCheck) {
-    if (S->Reg && S->Canonical) {
-      apps::AppInstance App = S->Reg->MakeCanonical();
-      if (App.Check) {
-        std::string CheckErr;
-        if (!App.Check(I, CheckErr)) {
-          std::cerr << "dhpfc: reference check FAILED: " << CheckErr << "\n";
-          return 1;
-        }
-        std::cout << "reference check: OK\n";
-      }
-    } else if (S->Reg) {
-      std::cout << "note: program differs from the canonical '"
-                << S->ProgName << "' export; reference check skipped\n";
-    }
+    printRunStats(Run.R, "simulated time");
+  if (!Run.R.Valid)
+    return reportInvalid(Run.R);
+  if (Run.Check.K == rt::CheckVerdict::Failed) {
+    std::cerr << "dhpfc: reference check FAILED: " << Run.Check.Why << "\n";
+    return 1;
   }
+  if (Run.Check.K == rt::CheckVerdict::Ok)
+    std::cout << "reference check: OK\n";
+  else if (!O.NoCheck && S->Reg && !S->Canonical)
+    std::cout << "note: program differs from the canonical '" << S->ProgName
+              << "' export; reference check skipped\n";
   return 0;
 }
 
-/// Bitwise comparison of a distributed run against an in-process engine
-/// run of the same session. Returns a description of the first mismatch,
-/// empty on agreement. Wall-clock time and the overlap ratio are real
-/// measurements, not simulation outputs, and are excluded.
-std::string compareRuns(const rt::MergedRun &Dist, const spmd::RunResult &Ref,
-                        const spmd::Interpreter &I) {
-  auto Num = [](const char *What, uint64_t A, uint64_t B) {
-    return std::string(What) + ": distributed " + std::to_string(A) +
-           " vs in-process " + std::to_string(B);
-  };
-  if (Dist.R.Messages != Ref.Messages)
-    return Num("messages", Dist.R.Messages, Ref.Messages);
-  if (Dist.R.Bytes != Ref.Bytes)
-    return Num("bytes", Dist.R.Bytes, Ref.Bytes);
-  if (Dist.R.SpanCopies != Ref.SpanCopies)
-    return Num("span copies", Dist.R.SpanCopies, Ref.SpanCopies);
-  if (Dist.R.PackedCopies != Ref.PackedCopies)
-    return Num("packed copies", Dist.R.PackedCopies, Ref.PackedCopies);
-  if (Dist.R.StmtInstances != Ref.StmtInstances)
-    return Num("stmt instances", Dist.R.StmtInstances, Ref.StmtInstances);
-  if (Dist.R.InPlaceRuntimeUpgrades != Ref.InPlaceRuntimeUpgrades)
-    return Num("in-place upgrades", Dist.R.InPlaceRuntimeUpgrades,
-               Ref.InPlaceRuntimeUpgrades);
-  if (Dist.R.Valid != Ref.Valid)
-    return "validity verdicts differ";
-  if (Dist.R.FinalAccums.size() != Ref.FinalAccums.size())
-    return "accumulator sets differ";
-  for (const auto &[Name, V] : Ref.FinalAccums) {
-    auto It = Dist.R.FinalAccums.find(Name);
-    if (It == Dist.R.FinalAccums.end())
-      return "accumulator '" + Name + "' missing from distributed run";
-    if (std::memcmp(&It->second, &V, sizeof(double)) != 0)
-      return "accumulator '" + Name + "' bits differ";
+/// Loads the input program: an .hpf source is compiled through the
+/// service, anything else is read as serialized SPMD. \p Spmd, when given,
+/// receives the serialized text. Null (with diagnostics printed) on
+/// failure.
+std::unique_ptr<spmd::SpmdProgram> loadProgram(const CliOptions &O,
+                                               std::string *Spmd = nullptr) {
+  std::string Text, Name = O.Input, Err;
+  if (isHpfPath(O.Input)) {
+    CompiledUnit CU;
+    if (!compileViaService(O.Input, O, CU))
+      return nullptr;
+    Text = std::move(CU.Spmd);
+    Name += ":spmd";
+  } else if (!readFile(O.Input, Text, Err)) {
+    std::cerr << "dhpfc: " << Err << "\n";
+    return nullptr;
   }
-  for (const auto &[Name, A] : Dist.Arrays) {
-    const spmd::ArrayStore &B = I.array(Name);
-    if (A.size() != B.size())
-      return "array '" + Name + "' sizes differ";
-    if (std::memcmp(A.values().data(), B.values().data(),
-                    A.size() * sizeof(double)) != 0) {
-      for (size_t F = 0; F != A.size(); ++F)
-        if (std::memcmp(&A.values()[F], &B.values()[F], sizeof(double)) != 0)
-          return "array '" + Name + "' differs first at flat " +
-                 std::to_string(F);
-    }
-  }
-  return "";
+  std::unique_ptr<spmd::SpmdProgram> SP = reparseSpmd(Text, Name);
+  if (Spmd)
+    *Spmd = std::move(Text);
+  return SP;
 }
 
 /// `dhpfc launch`: run the program across real rank processes over the
 /// socket mesh, then (unless --no-check) re-run in-process and demand
 /// bit-identical results.
 int cmdLaunch(const CliOptions &O, const char *Argv0) {
-  spmd::EngineKind EK;
-  if (!parseEngine(O.Engine, EK)) {
-    std::cerr << "dhpfc: unknown engine '" << O.Engine
-              << "' (want tree|bytecode|native|auto)\n";
-    return 2;
-  }
-  // Before any fork: the rank processes must resolve the same engine and
-  // kernel cache as the in-process oracle below.
-  applyEngineEnv(O);
-  std::string Text, Err;
-  if (!readFile(O.Input, Text, Err)) {
-    std::cerr << "dhpfc: " << Err << "\n";
-    return 1;
-  }
+  // Before any fork: the rank processes must resolve the same kernel
+  // cache and collective as the in-process oracle below.
+  applyRuntimeEnv(O);
   // Accept either a serialized .spmd or an .hpf source; the latter is
   // compiled here and serialized to a temp file the rank processes load.
   // The guard is armed the moment the temp file exists, so every return
-  // below — parse failure, session failure, launch failure — removes it.
+  // below — session failure, launch failure — removes it.
   struct TempFileGuard {
     std::string Path;
     ~TempFileGuard() {
@@ -689,33 +527,23 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
         ::unlink(Path.c_str());
     }
   } Guard;
+  std::string Spmd, Err;
+  std::unique_ptr<spmd::SpmdProgram> SP = loadProgram(O, &Spmd);
+  if (!SP)
+    return 1;
   std::string SpmdPath = O.Input;
-  std::unique_ptr<spmd::SpmdProgram> SP;
-  if (O.Input.size() > 4 &&
-      O.Input.compare(O.Input.size() - 4, 4, ".hpf") == 0) {
-    CompiledUnit CU;
-    if (!compileViaService(O.Input, O, CU))
-      return 1;
+  if (isHpfPath(O.Input)) {
     const char *Tmp = std::getenv("TMPDIR");
-    std::string TempSpmd = std::string(Tmp && *Tmp ? Tmp : "/tmp") +
-                           "/dhpfc_launch_" +
-                           std::to_string(static_cast<long>(getpid())) +
-                           ".spmd";
-    if (!writeFile(TempSpmd, CU.Spmd, Err)) {
+    SpmdPath = std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/dhpfc_launch_" +
+               std::to_string(static_cast<long>(getpid())) + ".spmd";
+    if (!writeFile(SpmdPath, Spmd, Err)) {
       std::cerr << "dhpfc: " << Err << "\n";
       return 1;
     }
-    Guard.Path = TempSpmd;
-    SpmdPath = TempSpmd;
-    SP = reparseSpmd(CU.Spmd, SpmdPath);
-  } else {
-    SP = reparseSpmd(Text, O.Input);
+    Guard.Path = SpmdPath;
   }
-  if (!SP)
-    return 1;
 
-  std::optional<rt::Session> S =
-      rt::resolveSession(*SP, sessionOptions(O), Err);
+  std::optional<rt::Session> S = rt::resolveSession(*SP, O.Session, Err);
   if (!S) {
     std::cerr << "dhpfc: " << Err << "\n";
     return 2;
@@ -757,46 +585,19 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
   if (!O.NoCheck) {
     // Differential oracle: the same session through the in-process engine
     // must agree bit for bit.
-    spmd::RunConfig RC = S->Config;
-    if (!parseEngine(O.Engine, RC.Engine)) {
-      std::cerr << "dhpfc: unknown engine '" << O.Engine
-                << "' (want tree|bytecode|native|auto)\n";
-      return 2;
-    }
-    spmd::Interpreter I(*SP, RC);
-    S->setup(*SP, I);
-    spmd::RunResult Ref = I.run();
-    std::string Mismatch = compareRuns(LR.Merged, Ref, I);
+    rt::SessionRun Ref = rt::runSession(*SP, *S, /*Check=*/false);
+    std::string Mismatch = rt::diffLaunch(LR.Merged, Ref.R, *Ref.Interp);
+    const char *Engine = rt::engineName(S->Config.Engine);
     if (!Mismatch.empty()) {
-      std::cerr << "dhpfc: distributed run DIVERGED from the "
-                << engineName(RC.Engine) << " engine: " << Mismatch << "\n";
+      std::cerr << "dhpfc: distributed run DIVERGED from the " << Engine
+                << " engine: " << Mismatch << "\n";
       return 1;
     }
-    std::cout << "in-process agreement (" << engineName(RC.Engine)
-              << " engine): OK\n";
+    std::cout << "in-process agreement (" << Engine << " engine): OK\n";
   }
   if (!LR.Dir.empty())
     std::cout << "mesh directory kept at " << LR.Dir << "\n";
   return 0;
-}
-
-/// Loads the input program for analysis commands: an .hpf source is
-/// compiled through the service, anything else is parsed as serialized
-/// SPMD. Null (with diagnostics printed) on failure.
-std::unique_ptr<spmd::SpmdProgram> loadProgram(const CliOptions &O) {
-  if (O.Input.size() > 4 &&
-      O.Input.compare(O.Input.size() - 4, 4, ".hpf") == 0) {
-    CompiledUnit CU;
-    if (!compileViaService(O.Input, O, CU))
-      return nullptr;
-    return reparseSpmd(CU.Spmd, O.Input + ":spmd");
-  }
-  std::string Text, Err;
-  if (!readFile(O.Input, Text, Err)) {
-    std::cerr << "dhpfc: " << Err << "\n";
-    return nullptr;
-  }
-  return reparseSpmd(Text, O.Input);
 }
 
 /// `dhpfc place`: enumerate every processor shape laying -p processors on
@@ -808,28 +609,23 @@ int cmdPlace(const CliOptions &O) {
   if (!SP)
     return 1;
   std::string Err;
-  if (!rt::checkParams(*SP, O.Params, Err)) {
+  const rt::SessionOptions &SO = O.Session;
+  if (!rt::checkParams(*SP, SO.Params, Err)) {
     std::cerr << "dhpfc: " << Err << "\n";
     return 2;
   }
   std::string ProgName = SP->Source ? SP->Source->name() : "<unknown>";
   std::vector<placement::Candidate> Cands = placement::searchShapes(
-      *SP, O.NumProcs, O.Params, placement::MachineCost());
+      *SP, SO.NumProcs, SO.Params, placement::MachineCost());
   if (Cands.empty()) {
-    std::cerr << "dhpfc: no shape lays " << O.NumProcs
+    std::cerr << "dhpfc: no shape lays " << SO.NumProcs
               << " processors onto the '" << SP->ProcName << "' grid\n";
     return 1;
   }
   std::vector<int64_t> RegShape;
   if (const apps::RegistryEntry *Reg = apps::findApp(ProgName))
-    RegShape = Reg->ProcShape(O.NumProcs);
-  auto ShapeStr = [](const std::vector<int64_t> &Sh) {
-    std::string S;
-    for (size_t D = 0; D != Sh.size(); ++D)
-      S += (D ? "x" : "") + std::to_string(Sh[D]);
-    return S;
-  };
-  std::cout << "placement for '" << ProgName << "' on " << O.NumProcs
+    RegShape = Reg->ProcShape(SO.NumProcs);
+  std::cout << "placement for '" << ProgName << "' on " << SO.NumProcs
             << " procs (" << Cands.size() << " candidate shape"
             << (Cands.size() == 1 ? "" : "s") << "):\n";
   std::printf("  %-10s %10s %12s %14s %12s\n", "shape", "msgs", "bytes",
@@ -842,7 +638,7 @@ int cmdPlace(const CliOptions &O) {
     if (!RegShape.empty() && C.Shape == RegShape)
       Tags += "  (registry)";
     std::printf("  %-10s %10llu %12llu %14llu %12.3e%s\n",
-                ShapeStr(C.Shape).c_str(),
+                shapeStr(C.Shape).c_str(),
                 static_cast<unsigned long long>(C.Traffic.totalMessages()),
                 static_cast<unsigned long long>(C.Traffic.totalBytes()),
                 static_cast<unsigned long long>(C.Traffic.maxRankBytes()),
@@ -876,34 +672,31 @@ int cmdCompile(const CliOptions &O) {
 }
 
 int cmdRun(const CliOptions &O) {
+  if (isHpfPath(O.Input)) {
+    std::cerr << "dhpfc: run expects a serialized .spmd program, got '"
+              << O.Input << "'; compile it, or use 'dhpfc pipeline' or "
+              << "'dhpfc launch', which accept .hpf\n";
+    return 2;
+  }
   std::string Text, Err;
   if (!readFile(O.Input, Text, Err)) {
     std::cerr << "dhpfc: " << Err << "\n";
     return 1;
   }
-  if (!O.Server.empty()) {
-    // Remote run: the daemon executes and returns the engine-independent
-    // summary; the verdicts inside it drive the exit code.
-    std::unique_ptr<net::MsgStream> Stream = connectServer(O);
-    if (!Stream)
-      return 1;
-    try {
-      rt::DaemonRunResult R =
-          rt::daemonRun(*Stream, Text, sessionOptions(O), !O.NoCheck);
+  if (!O.Server.empty())
+    // Remote run: the daemon returns the engine-independent summary plus
+    // the validity and check verdicts that drive the exit code.
+    return withServer(O, [&](net::MsgStream &S) {
+      rt::DaemonRunResult R = rt::daemonRun(S, Text, O.Session, !O.NoCheck);
       if (!R.Ok) {
         std::cerr << "dhpfc: daemon run failed: " << R.Error << "\n";
         return 1;
       }
-      std::cout << "ran on daemon " << O.Server << ":\n" << R.Summary;
-      bool Invalid = R.Summary.find("valid 0\n") != std::string::npos;
-      bool CheckFailed =
-          R.Summary.find("check failed:") != std::string::npos;
-      return (Invalid || CheckFailed) ? 1 : 0;
-    } catch (const net::TransportError &E) {
-      std::cerr << "dhpfc: " << E.what() << "\n";
-      return 1;
-    }
-  }
+      std::cout << "ran on daemon " << O.Server << ":\n"
+                << R.Summary << "check " << rt::CheckVerdict::Names[R.Check.K]
+                << (R.Check.Why.empty() ? "" : ": " + R.Check.Why) << "\n";
+      return R.Valid && R.Check.K != rt::CheckVerdict::Failed ? 0 : 1;
+    });
   std::unique_ptr<spmd::SpmdProgram> SP = reparseSpmd(Text, O.Input);
   if (!SP)
     return 1;
@@ -952,30 +745,18 @@ int cmdList() {
 }
 
 int cmdDaemonStats(const CliOptions &O) {
-  std::unique_ptr<net::MsgStream> Stream = connectServer(O);
-  if (!Stream)
-    return 1;
-  try {
-    std::cout << rt::daemonStats(*Stream);
+  return withServer(O, [](net::MsgStream &S) {
+    std::cout << rt::daemonStats(S);
     return 0;
-  } catch (const net::TransportError &E) {
-    std::cerr << "dhpfc: " << E.what() << "\n";
-    return 1;
-  }
+  });
 }
 
 int cmdShutdown(const CliOptions &O) {
-  std::unique_ptr<net::MsgStream> Stream = connectServer(O);
-  if (!Stream)
-    return 1;
-  try {
-    rt::daemonShutdown(*Stream);
+  return withServer(O, [&O](net::MsgStream &S) {
+    rt::daemonShutdown(S);
     std::cout << "daemon on " << O.Server << " stopping\n";
     return 0;
-  } catch (const net::TransportError &E) {
-    std::cerr << "dhpfc: " << E.what() << "\n";
-    return 1;
-  }
+  });
 }
 
 } // namespace
@@ -1043,8 +824,13 @@ int main(int Argc, char **Argv) {
   if (Cmd == "--version" || Cmd == "version")
     return printVersion();
   CliOptions O;
-  if (!parseArgs(Argc, Argv, O))
+  if (!parseArgs(std::vector<std::string>(Argv + 2, Argv + Argc), O))
     return 2;
+  if (!O.DumpAfter.empty() && !O.Server.empty()) {
+    std::cerr << "dhpfc: -dump-after cannot be combined with --server=: "
+                 "the daemon returns no IR dumps\n";
+    return 2;
+  }
   // The env vars mirror the flags so wrapper scripts (and the rank
   // processes a launch spawns) can request profiles without CLI changes.
   if (O.TracePath.empty())

@@ -56,14 +56,6 @@ void usage(const char *Argv0) {
       << "  --quiet           suppress the per-request stderr log\n";
 }
 
-bool consume(const char *Arg, const char *Prefix, std::string &Out) {
-  size_t N = std::strlen(Prefix);
-  if (std::strncmp(Arg, Prefix, N) != 0)
-    return false;
-  Out.assign(Arg + N);
-  return true;
-}
-
 void dumpMetrics(const std::string &Path) {
   if (Path.empty())
     return;
@@ -86,10 +78,9 @@ int main(int Argc, char **Argv) {
   rt::DaemonOptions Opts;
   std::string MetricsPath;
   for (int I = 1; I < Argc; ++I) {
-    std::string V;
-    if (consume(Argv[I], "--socket=", Opts.SocketPath) ||
-        consume(Argv[I], "--cache=", Opts.CacheFile) ||
-        consume(Argv[I], "--metrics=", MetricsPath))
+    if (rt::flagValue(Argv[I], "--socket=", Opts.SocketPath) ||
+        rt::flagValue(Argv[I], "--cache=", Opts.CacheFile) ||
+        rt::flagValue(Argv[I], "--metrics=", MetricsPath))
       continue;
     if (std::strcmp(Argv[I], "--quiet") == 0) {
       Opts.Quiet = true;
@@ -122,10 +113,6 @@ int main(int Argc, char **Argv) {
     std::cerr << "dhpfd: cannot start: " << E.what() << "\n";
     return 1;
   }
-  std::cerr << "dhpfd: serving on " << Opts.SocketPath
-            << (Opts.CacheFile.empty() ? "" : " (cache " + Opts.CacheFile + ")")
-            << "\n";
-
   // Block until a client shutdown request or a termination signal.
   while (!D.shutdownRequested() && !SignalStop.load()) {
     struct timespec TS = {0, 50 * 1000 * 1000};
