@@ -357,11 +357,12 @@ AstPtr CodeGen::codegen(const std::vector<StmtInstance> &Stmts,
     Expr LB = Expr::min(LoopLBs);
     Expr UB = Expr::max(LoopUBs);
 
-    // Stride loop: only in the simple single-statement single-conjunct case
-    // (this is the case the virtual-processor loops of Section 4 hit).
+    // Stride loop instead of a mod-guard: only in the simple
+    // single-statement single-conjunct case (this is the case the
+    // virtual-processor loops of Section 4's cyclic distributions hit).
     int64_t Step = 1;
-    if (Opts.StrideLoops && States.size() == 1 &&
-        Info[0].Conjs.size() == 1 && Info[0].Conjs[0].HasStride) {
+    if (States.size() == 1 && Info[0].Conjs.size() == 1 &&
+        Info[0].Conjs[0].HasStride) {
       const ConjLevel &CL = Info[0].Conjs[0];
       Step = CL.Step;
       // Align LB upward to the residue class: LB' = LB + ((res - LB) mod s).

@@ -13,8 +13,8 @@
 /// The four analysis passes fill per-nest NestAnalysis records — each nest
 /// independent of the others, so every analysis pass runs its nests on a
 /// thread pool — and EmitPass consumes them strictly in program order, so
-/// the compiled SPMD program is independent of the analysis schedule. The
-/// CompilerDriver (core/CompilerDriver.h) owns the context, sequences the
+/// the compiled SPMD program is independent of the analysis schedule.
+/// compileProgram (core/Compiler.h) owns the context, sequences the
 /// passes, and renders per-pass IR dumps (-dump-after=<pass>).
 ///
 //===----------------------------------------------------------------------===//
@@ -26,7 +26,6 @@
 #include "core/Compiler.h"
 #include "core/LoopSplit.h"
 #include "core/Partition.h"
-#include "support/Diag.h"
 #include "support/ThreadPool.h"
 
 #include <functional>
@@ -66,15 +65,12 @@ struct NestAnalysis {
   PhaseTimers Timers;
 };
 
-/// Everything the passes share. Owned by the CompilerDriver for one
+/// Everything the passes share. Owned by compileProgram for one
 /// compilation.
 struct CompileContext {
   const hpf::Program &P;
   CompilerOptions Opts;
   hpf::MapBuilder MB;
-  /// Optional diagnostics sink; when null, driver-level validation is
-  /// skipped (trusted builder-API input).
-  DiagnosticEngine *Diags = nullptr;
   CompileOutput *Out = nullptr;
   spmd::SpmdProgram *SP = nullptr;
   PhaseTimers *T = nullptr;
@@ -82,8 +78,6 @@ struct CompileContext {
   /// recursed in place), with their analyses at matching indices.
   std::vector<const hpf::ComputeNest *> Nests;
   std::vector<NestAnalysis> NestAnalyses;
-  /// Worker count for the analysis passes (1 = sequential).
-  unsigned Threads = 1;
   /// Shared worker pool for the analysis passes (null = sequential).
   std::unique_ptr<ThreadPool> Pool;
 

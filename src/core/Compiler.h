@@ -1,13 +1,20 @@
-//===- core/Compiler.h - The dHPF-style compiler driver ------------------===//
+//===- core/Compiler.h - The dHPF-style compiler front end ---------------===//
 //
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiler driver: runs the set-based analyses over a mini-HPF program
-/// and produces a compiled SPMD node program. Phases (timed for the Table 1
-/// reproduction):
+/// The compiler front end: compileProgram, the one entry point that runs
+/// the pass pipeline
+///
+///   PartitionPass -> CommPass -> SplitPass -> VPPass -> EmitPass
+///
+/// over a mini-HPF program and produces a compiled SPMD node program, and
+/// the one codec of the compile flags (--no-split, --no-coalesce,
+/// --no-inplace, --no-combined, --threads=N) that `dhpfc`, the daemon wire
+/// and the CompilerService request fingerprint share. Phases (timed for
+/// the Table 1 reproduction):
 ///
 ///   - interprocedural analysis (array access summaries)
 ///   - partitioning computation (CPMap construction, statement grouping)
@@ -26,17 +33,20 @@
 #ifndef DHPF_CORE_COMPILER_H
 #define DHPF_CORE_COMPILER_H
 
-#include "cg/CodeGen.h"
 #include "hpf/Maps.h"
 #include "pset/OpCache.h"
 #include "spmd/SpmdProgram.h"
+#include "support/Flags.h"
 #include "support/Timer.h"
 
-#include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace dhpf {
+
+class DiagnosticEngine;
+
 namespace core {
 
 struct CompilerOptions {
@@ -53,15 +63,14 @@ struct CompilerOptions {
   bool CombinedFormulation = true;
   /// Worker count for the per-nest analyses (partitioning, communication
   /// equations, loop splitting): 1 runs them sequentially, 0 selects the
-  /// hardware concurrency. Emission stays sequential, so the compiled
-  /// program is identical for any thread count.
+  /// hardware concurrency. The pool never gets more workers than the
+  /// program has nests. Emission stays sequential, so the compiled program
+  /// is identical for any thread count.
   unsigned AnalysisThreads = 0;
-  /// Comma-separated pass names (or "all") whose state is dumped right
-  /// after they run; empty disables dumping. See CompilerDriver.
-  std::string DumpAfter;
-  /// Destination for -dump-after output; null means stderr.
-  std::ostream *DumpStream = nullptr;
-  cg::CodeGenOptions CG;
+  /// Pass names (see passNames()) whose state is dumped to stderr right
+  /// after they run. A local side channel: not a compile flag, not part of
+  /// the request identity.
+  std::vector<std::string> DumpAfter;
 };
 
 /// Phase names used in the timing report (Table 1 rows).
@@ -99,9 +108,42 @@ struct CompileOutput {
 /// projections (a "rectangular section" in the Table 1 row's sense).
 bool isRectSectionProven(const Relation &S);
 
-/// Compiles \p P into an SPMD node program.
-std::unique_ptr<CompileOutput> compileProgram(const hpf::Program &P,
-                                              CompilerOptions Opts = {});
+/// The pipeline's pass names in order (the values -dump-after accepts).
+std::vector<std::string> passNames();
+
+/// Structural validation of a program (builder- or parser-produced):
+/// every referenced array is declared with matching rank, alignments and
+/// distributions are well-formed, statement ids are consistent. Reports
+/// into \p Diags; returns true when no new errors were added.
+bool validateProgram(const hpf::Program &P, DiagnosticEngine &Diags);
+
+/// Compiles \p P into an SPMD node program: the only function that runs
+/// the pipeline. With \p Diags, the program is validated first and the
+/// result is null when validation fails (the errors are in \p Diags);
+/// without, the input is trusted (builder-API programs).
+std::unique_ptr<CompileOutput>
+compileProgram(const hpf::Program &P, CompilerOptions Opts = {},
+               DiagnosticEngine *Diags = nullptr);
+
+//===----------------------------------------------------------------------===//
+// The compile-flag codec
+//===----------------------------------------------------------------------===//
+
+/// The largest --threads=N any front end accepts.
+inline constexpr unsigned MaxAnalysisThreads = 256;
+
+/// Offers \p Arg to the compile-flag parser.
+FlagArg parseCompileArg(const std::string &Arg, CompilerOptions &Opts,
+                        std::string &Err);
+
+/// Parses a list that must hold compile flags only (the daemon's compile
+/// request). False with \p Err naming the first bad argument.
+bool parseCompileArgs(const std::vector<std::string> &Args,
+                      CompilerOptions &Opts, std::string &Err);
+
+/// The flags that parse back to \p Opts; options at their default are
+/// left out. DumpAfter is not a compile flag and is not encoded.
+std::vector<std::string> encodeCompileArgs(const CompilerOptions &Opts);
 
 } // namespace core
 } // namespace dhpf

@@ -6,7 +6,6 @@
 
 #include "core/CompilerService.h"
 
-#include "core/CompilerDriver.h"
 #include "hpf/HpfParser.h"
 #include "obs/Metrics.h"
 #include "pset/Intern.h"
@@ -51,10 +50,6 @@ CompilerService &CompilerService::global() {
 CompilerService::CompilerService(size_t ArtifactCapacity)
     : ArtifactCapacity(ArtifactCapacity ? ArtifactCapacity : 1) {}
 
-CompileSession CompilerService::openSession(std::string ClientName) {
-  return CompileSession(*this, std::move(ClientName));
-}
-
 pset::OpCache &CompilerService::opCache() { return pset::OpCache::global(); }
 
 pset::InternTable &CompilerService::internTable() {
@@ -75,17 +70,16 @@ uint64_t CompilerService::fingerprintRequest(const std::string &Source,
       H *= 0x100000001b3ull;
     }
   };
+  uint64_t Len = Source.size();
+  Mix(&Len, sizeof(Len));
   Mix(Source.data(), Source.size());
-  // Every option that changes the compiled program is part of the request
-  // identity. DumpAfter/DumpStream only add side-channel output; thread
+  // The request identity is the source plus the compile flags as the
+  // codec spells them, so every option that travels is part of it. Thread
   // counts do not change the emitted program (emission is sequential) but
-  // are folded in anyway so a request is served with the configuration it
-  // asked for.
-  unsigned char Flags[4] = {Opts.LoopSplitting, Opts.Coalescing,
-                            Opts.InPlaceAnalysis, Opts.CombinedFormulation};
-  Mix(Flags, sizeof(Flags));
-  uint32_t Threads = Opts.AnalysisThreads;
-  Mix(&Threads, sizeof(Threads));
+  // are flags too, so a request is served with the configuration it asked
+  // for. DumpAfter is a local side channel and no flag.
+  for (const std::string &F : encodeCompileArgs(Opts))
+    Mix(F.c_str(), F.size() + 1);
   if (H == 0)
     H = 0x9e3779b97f4a7c15ull; // 0 is the "no fingerprint" sentinel
   return H;
@@ -155,8 +149,7 @@ CompilerService::doCompile(const CompileRequest &R, uint64_t FP) {
     return A;
   }
   std::unique_ptr<hpf::Program> Prog = std::move(Parsed).take();
-  CompilerDriver Driver(*Prog, R.Opts, &Diags);
-  std::unique_ptr<CompileOutput> Out = Driver.run();
+  std::unique_ptr<CompileOutput> Out = compileProgram(*Prog, R.Opts, &Diags);
   A->DiagText = Diags.str();
   if (!Out)
     return A;
@@ -239,31 +232,4 @@ void CompilerService::publishMetrics() {
   R.gauge("svc.errors")->set(static_cast<int64_t>(S.Errors));
   R.gauge("svc.artifacts_resident")->set(static_cast<int64_t>(artifactCount()));
   opCache().publishMetrics();
-}
-
-//===----------------------------------------------------------------------===//
-// CompileSession
-//===----------------------------------------------------------------------===//
-
-std::shared_ptr<const CompileArtifact>
-CompileSession::compile(const CompileRequest &R, Served *HowOut) {
-  Served How = Served::Fresh;
-  std::shared_ptr<const CompileArtifact> A = Svc->compile(R, &How);
-  ++NumRequests;
-  if (How != Served::Fresh)
-    ++NumHits;
-  if (HowOut)
-    *HowOut = How;
-  return A;
-}
-
-void CompileSession::publishMetrics() const {
-  if (!obs::compiledIn())
-    return;
-  obs::MetricsRegistry &R = obs::MetricsRegistry::global();
-  std::string P = "svc.client." + Client;
-  R.gauge(P + ".requests")->set(static_cast<int64_t>(NumRequests));
-  R.gauge(P + ".hits")->set(static_cast<int64_t>(NumHits));
-  R.gauge(P + ".hit_rate_pct")
-      ->set(static_cast<int64_t>(hitRate() * 100.0 + 0.5));
 }

@@ -17,15 +17,14 @@
 ///     -> artifact cache hit | join an in-flight compile | fresh compile
 ///     -> shared CompileArtifact (serialized .spmd, diagnostics, stats)
 ///
-/// Callers never touch the globals directly; they open a CompileSession —
-/// a cheap per-client executor handle that tracks that client's request
-/// and hit counts — and compile through it. `dhpfc` is one client of this
-/// API; the `dhpfd` daemon is another, serving many concurrent sessions
-/// over sockets against the same warm service.
+/// Callers never touch the globals directly; they compile through the
+/// service. `dhpfc` is one client of this API; the `dhpfd` daemon is
+/// another, serving many concurrent connections over sockets against the
+/// same warm service.
 ///
 /// Three properties the daemon depends on:
-///  - identical requests (same source bytes, same options) have the same
-///    fingerprint, so N concurrent clients compiling the same program
+///  - identical requests (same source bytes, same compile flags) have the
+///    same fingerprint, so N concurrent clients compiling the same program
 ///    collapse to ONE compile — later arrivals block on the in-flight
 ///    entry and share the artifact;
 ///  - artifacts are immutable and shared (shared_ptr<const>), so replies
@@ -111,43 +110,6 @@ struct ServiceStats {
   uint64_t Errors = 0;
 };
 
-class CompilerService;
-
-/// A per-client executor handle: the only way callers compile. Cheap to
-/// create, move-only, not thread-safe (one session per client thread —
-/// the daemon opens one per connection). Counts this client's traffic and
-/// can publish it as svc.client.<name>.* gauges.
-class CompileSession {
-public:
-  CompileSession(CompileSession &&) = default;
-  CompileSession &operator=(CompileSession &&) = default;
-
-  std::shared_ptr<const CompileArtifact> compile(const CompileRequest &R,
-                                                 Served *How = nullptr);
-
-  const std::string &clientName() const { return Client; }
-  uint64_t requests() const { return NumRequests; }
-  /// Requests answered without running the compiler (artifact replay or
-  /// joining an in-flight compile).
-  uint64_t cacheHits() const { return NumHits; }
-  double hitRate() const {
-    return NumRequests ? double(NumHits) / double(NumRequests) : 0.0;
-  }
-  /// Mirrors this client's counters into the metrics registry as
-  /// svc.client.<name>.{requests,hits,hit_rate_pct} gauges.
-  void publishMetrics() const;
-
-private:
-  friend class CompilerService;
-  CompileSession(CompilerService &S, std::string Client)
-      : Svc(&S), Client(std::move(Client)) {}
-
-  CompilerService *Svc;
-  std::string Client;
-  uint64_t NumRequests = 0;
-  uint64_t NumHits = 0;
-};
-
 class CompilerService {
 public:
   /// The process-global service. All clients in one process — a batch
@@ -159,12 +121,9 @@ public:
   CompilerService(const CompilerService &) = delete;
   CompilerService &operator=(const CompilerService &) = delete;
 
-  /// Opens a per-client executor handle.
-  CompileSession openSession(std::string ClientName);
-
-  /// The request fingerprint: FNV-1a over the source bytes and every
-  /// semantics-affecting compiler option. This is the dedup key for the
-  /// artifact cache and the in-flight table.
+  /// The request fingerprint: FNV-1a over the source bytes and the
+  /// encoded compile flags (encodeCompileArgs). This is the dedup key for
+  /// the artifact cache and the in-flight table.
   static uint64_t fingerprintRequest(const std::string &Source,
                                      const CompilerOptions &Opts);
 

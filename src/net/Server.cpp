@@ -170,12 +170,11 @@ bool MsgStream::recv(uint64_t &Tag, std::string &Payload) {
 
 MsgServer::~MsgServer() { stop(); }
 
-void MsgServer::start(const std::string &SocketPath, Handler H, Closer C) {
+void MsgServer::start(const std::string &SocketPath, Handler H) {
   if (Running.load())
     throw TransportError("server already running on " + Path);
   Path = SocketPath;
   Handle = std::move(H);
-  Close = std::move(C);
   ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (ListenFd < 0)
     throw TransportError("server socket(): " + errnoStr());
@@ -238,8 +237,6 @@ void MsgServer::serveOne(int Fd, unsigned ClientId) {
     // client sees the closed socket and diagnoses it on its side.
   }
   Active.fetch_sub(1, std::memory_order_relaxed);
-  if (Close)
-    Close(ClientId);
 }
 
 void MsgServer::stop() {

@@ -21,8 +21,8 @@
 /// validated (tag, payload) pair or reports clean EOF. MsgServer owns a
 /// listening Unix-domain socket and runs one service thread per accepted
 /// connection, invoking a caller-provided handler per request message —
-/// concurrency, backpressure, and per-client accounting live in the
-/// handler's layer (core/CompilerService), not here. Bytes only.
+/// concurrency and backpressure live in the handler's layer
+/// (core/CompilerService), not here. Bytes only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,9 +88,6 @@ public:
   using Handler = std::function<bool(unsigned ClientId, uint64_t Tag,
                                      const std::string &Payload,
                                      MsgStream &Stream)>;
-  /// Called when a connection closes (EOF, error, or handler-requested);
-  /// pairs with the first message's ClientId for per-client teardown.
-  using Closer = std::function<void(unsigned ClientId)>;
 
   MsgServer() = default;
   ~MsgServer();
@@ -99,7 +96,7 @@ public:
 
   /// Binds \p SocketPath (unlinking any stale socket), starts the accept
   /// loop, and returns. Throws TransportError on bind/listen failure.
-  void start(const std::string &SocketPath, Handler H, Closer C = nullptr);
+  void start(const std::string &SocketPath, Handler H);
 
   /// Stops accepting, closes the listening socket, wakes every service
   /// thread, and joins them. Idempotent.
@@ -120,7 +117,6 @@ private:
   std::string Path;
   int ListenFd = -1;
   Handler Handle;
-  Closer Close;
   std::thread Acceptor;
   std::mutex WorkersM;
   std::vector<std::thread> Workers;

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -121,6 +122,23 @@ private:
   std::map<std::string, std::string> Fields;
 };
 
+/// Flags travel one per line in a blob; a flag never holds a newline.
+std::string unlines(const std::vector<std::string> &Args) {
+  std::string Text;
+  for (const std::string &A : Args)
+    Text += A + "\n";
+  return Text;
+}
+
+std::vector<std::string> lines(const std::string &Text) {
+  std::vector<std::string> Args;
+  std::istringstream In(Text);
+  for (std::string A; std::getline(In, A);)
+    if (!A.empty())
+      Args.push_back(A);
+  return Args;
+}
+
 const char *servedName(core::Served S) {
   switch (S) {
   case core::Served::Fresh:
@@ -155,20 +173,11 @@ void Daemon::start() {
       std::cerr << "dhpfd: cold start (" << Err << ")\n";
     }
   }
-  Server.start(
-      Opts.SocketPath,
-      [this](unsigned Id, uint64_t Tag, const std::string &Payload,
-             net::MsgStream &Stream) {
-        return handle(Id, Tag, Payload, Stream);
-      },
-      [this](unsigned Id) {
-        std::lock_guard<std::mutex> Lock(SessionsM);
-        auto It = Sessions.find(Id);
-        if (It != Sessions.end()) {
-          It->second.publishMetrics();
-          Sessions.erase(It);
-        }
-      });
+  Server.start(Opts.SocketPath,
+               [this](unsigned Id, uint64_t Tag, const std::string &Payload,
+                      net::MsgStream &Stream) {
+                 return handle(Id, Tag, Payload, Stream);
+               });
   if (!Opts.Quiet)
     std::cerr << "dhpfd: serving on " << Opts.SocketPath << "\n";
 }
@@ -247,6 +256,10 @@ bool Daemon::handle(unsigned ClientId, uint64_t Tag,
     }
   } catch (const net::TransportError &) {
     throw; // the connection is gone; let serveOne drop it
+  } catch (const std::invalid_argument &E) {
+    WireWriter W; // a malformed request: E names what is wrong with it
+    W.blob("error", E.what());
+    Stream.send(MsgErrResp, W.str());
   } catch (const std::exception &E) {
     // A handler bug must kill neither the daemon nor the connection.
     WireWriter W;
@@ -262,31 +275,17 @@ std::string Daemon::handleCompile(unsigned ClientId,
   WireReader In;
   std::string Err;
   if (!In.parse(Payload, Err) || !In.has("source"))
-    throw std::runtime_error("malformed compile request: " +
-                             (Err.empty() ? "missing source blob" : Err));
+    throw std::invalid_argument("malformed compile request: " +
+                                (Err.empty() ? "missing source blob" : Err));
   core::CompileRequest R;
   R.Name = In.get("name", "<remote>");
   R.Source = In.get("source");
-  R.Opts.LoopSplitting = In.getU("split", 1) != 0;
-  R.Opts.Coalescing = In.getU("coalesce", 1) != 0;
-  R.Opts.InPlaceAnalysis = In.getU("inplace", 1) != 0;
-  R.Opts.CombinedFormulation = In.getU("combined", 1) != 0;
-  R.Opts.AnalysisThreads = static_cast<unsigned>(In.getU("threads", 0));
+  if (!core::parseCompileArgs(lines(In.get("flags")), R.Opts, Err))
+    throw std::invalid_argument("malformed compile request: " + Err);
   R.BypassArtifactCache = In.getU("fresh", 0) != 0;
 
-  core::CompileSession *Sess;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsM);
-    auto It = Sessions.find(ClientId);
-    if (It == Sessions.end())
-      It = Sessions
-               .emplace(ClientId, service().openSession(
-                                      "c" + std::to_string(ClientId)))
-               .first;
-    Sess = &It->second;
-  }
   core::Served How = core::Served::Fresh;
-  std::shared_ptr<const core::CompileArtifact> A = Sess->compile(R, &How);
+  std::shared_ptr<const core::CompileArtifact> A = service().compile(R, &How);
   if (!Opts.Quiet)
     std::cerr << "dhpfd: [" << ClientId << "] compile '" << R.Name << "' -> "
               << (A->Ok ? "ok" : "error") << " (" << servedName(How) << ")\n";
@@ -308,7 +307,7 @@ std::string Daemon::handleRun(const std::string &Payload) {
   WireReader In;
   std::string Err;
   if (!In.parse(Payload, Err))
-    throw std::runtime_error("malformed run request: " + Err);
+    throw std::invalid_argument("malformed run request: " + Err);
   DiagnosticEngine Diags;
   std::unique_ptr<spmd::SpmdProgram> SP =
       loadSpmd(In.get("spmd"), "<remote spmd>", Diags);
@@ -319,16 +318,14 @@ std::string Daemon::handleRun(const std::string &Payload) {
     return W.str();
   }
   // The session travels as the flags dhpfc parses, decoded by the same
-  // parser.
-  std::istringstream SessionText(In.get("session"));
-  std::vector<std::string> Args{
-      std::istream_iterator<std::string>(SessionText), {}};
+  // parser; a rejected session is the client's usage error.
   SessionOptions SO;
   std::optional<Session> S;
-  if (parseSessionArgs(Args, SO, Err))
+  if (parseSessionArgs(lines(In.get("session")), SO, Err))
     S = resolveSession(*SP, SO, Err);
   if (!S) {
     W.kvU("ok", 0);
+    W.kvU("usage", 1);
     W.blob("error", Err);
     return W.str();
   }
@@ -393,11 +390,7 @@ DaemonCompileResult rt::daemonCompile(net::MsgStream &S,
                                       bool Fresh) {
   WireWriter W;
   W.kv("name", Name);
-  W.kvU("split", Opts.LoopSplitting);
-  W.kvU("coalesce", Opts.Coalescing);
-  W.kvU("inplace", Opts.InPlaceAnalysis);
-  W.kvU("combined", Opts.CombinedFormulation);
-  W.kvU("threads", Opts.AnalysisThreads);
+  W.blob("flags", unlines(core::encodeCompileArgs(Opts)));
   W.kvU("fresh", Fresh ? 1 : 0);
   W.blob("source", Source);
   WireReader R = roundTrip(S, MsgCompileReq, W.str());
@@ -417,15 +410,13 @@ DaemonCompileResult rt::daemonCompile(net::MsgStream &S,
 DaemonRunResult rt::daemonRun(net::MsgStream &S, const std::string &Spmd,
                               const SessionOptions &SO, bool Check) {
   WireWriter W;
-  std::string Flags;
-  for (const std::string &A : encodeSessionArgs(SO))
-    Flags += A + "\n";
-  W.blob("session", Flags);
+  W.blob("session", unlines(encodeSessionArgs(SO)));
   W.kvU("check", Check ? 1 : 0);
   W.blob("spmd", Spmd);
   WireReader R = roundTrip(S, MsgRunReq, W.str());
   DaemonRunResult Out;
   Out.Ok = R.getU("ok") != 0;
+  Out.Usage = R.getU("usage") != 0;
   Out.Error = R.get("error");
   if (!Out.Ok)
     return Out;

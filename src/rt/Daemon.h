@@ -24,10 +24,14 @@
 /// previously saved set-operation cache (a cold daemon starts warm) and
 /// stop() saves it back.
 ///
-/// A run request carries the session as rt/Session's encoded flags, one
-/// per line, decoded by the parser `dhpfc` uses. The reply carries the
-/// validity and reference-check verdicts as fields, plus runSummary(), so
-/// a daemon-side run compares bit-for-bit against a local one.
+/// A compile request carries the compile flags as core/Compiler's codec
+/// encodes them, one per line in a `flags` blob, decoded by the parser
+/// `dhpfc` uses; a malformed flag is an error reply naming it. A run
+/// request carries the session the same way, as rt/Session's encoded
+/// flags. The run reply carries the validity and reference-check verdicts
+/// as fields, plus runSummary(), so a daemon-side run compares bit-for-bit
+/// against a local one; a session the parser or resolver rejects is marked
+/// as a usage error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 
@@ -98,8 +101,6 @@ public:
 private:
   DaemonOptions Opts;
   net::MsgServer Server;
-  std::mutex SessionsM;
-  std::map<unsigned, core::CompileSession> Sessions;
   std::atomic<unsigned> Queue{0};
   std::atomic<bool> ShutdownRequested{false};
   std::mutex StopM; ///< serializes stop() against itself
@@ -139,6 +140,7 @@ DaemonCompileResult daemonCompile(net::MsgStream &S, const std::string &Name,
 
 struct DaemonRunResult {
   bool Ok = false;     ///< false: Error says why the run did not happen
+  bool Usage = false;  ///< !Ok because the session flags were rejected
   std::string Summary; ///< runSummary() text
   bool Valid = false;  ///< the run recorded no validity violation
   CheckVerdict Check;  ///< the reference check's verdict

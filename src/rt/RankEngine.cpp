@@ -84,22 +84,7 @@ void RankEngine::setSemantics(int Id, StmtFn Fn) {
 void RankEngine::initArray(
     const std::string &Name,
     const std::function<double(const std::vector<int64_t> &)> &Init) {
-  ArrayStore &A = Arrays.at(Name);
-  if (A.size() == 0)
-    return;
-  std::vector<int64_t> Idx(A.rank());
-  for (unsigned D = 0; D != A.rank(); ++D)
-    Idx[D] = A.lo(D);
-  for (;;) {
-    A.at(A.flatten(Idx)) = Init(Idx);
-    unsigned D = 0;
-    while (D < A.rank() && ++Idx[D] >= A.lo(D) + A.extent(D)) {
-      Idx[D] = A.lo(D);
-      ++D;
-    }
-    if (D == A.rank())
-      break;
-  }
+  Arrays.at(Name).fill(Init);
 }
 
 const ArrayStore &RankEngine::array(const std::string &Name) const {

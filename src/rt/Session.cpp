@@ -12,12 +12,8 @@
 #include "spmd/Serialize.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -62,7 +58,7 @@ bool parseProcs(const std::string &V, std::vector<int64_t> &Out,
   std::istringstream SS(V + ","); // "2," must not pass as "2"
   for (std::string Tok; std::getline(SS, Tok, ',');) {
     int64_t X;
-    if (!rt::parseInt(Tok, X) || X < 1) {
+    if (!parseInt(Tok, X) || X < 1) {
       Err = V.empty() ? "empty --procs list"
                       : "invalid --procs extent '" + Tok + "' in '" + V + "'";
       return false;
@@ -74,33 +70,12 @@ bool parseProcs(const std::string &V, std::vector<int64_t> &Out,
 
 } // namespace
 
-bool rt::parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty() || std::isspace(static_cast<unsigned char>(S[0])))
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (errno != 0 || End != S.c_str() + S.size())
-    return false;
-  Out = V;
-  return true;
-}
-
-bool rt::flagValue(const std::string &Arg, const std::string &Prefix,
-                   std::string &Out) {
-  if (Arg.rfind(Prefix, 0) != 0)
-    return false;
-  Out = Arg.substr(Prefix.size());
-  return true;
-}
-
 const char *rt::engineName(spmd::EngineKind E) {
   return EngineNames[static_cast<size_t>(E)];
 }
 
-SessionArg rt::parseSessionArg(const std::vector<std::string> &Args,
-                               size_t &I, SessionOptions &SO,
-                               std::string &Err) {
+FlagArg rt::parseSessionArg(const std::vector<std::string> &Args, size_t &I,
+                            SessionOptions &SO, std::string &Err) {
   const std::string &A = Args[I];
   std::string V;
   Err.clear();
@@ -129,18 +104,18 @@ SessionArg rt::parseSessionArg(const std::vector<std::string> &Args,
   } else if (A == "--no-validity") {
     SO.CheckValidity = false;
   } else {
-    return SessionArg::NotSession;
+    return FlagArg::NotMine;
   }
-  return Err.empty() ? SessionArg::Taken : SessionArg::Bad;
+  return Err.empty() ? FlagArg::Taken : FlagArg::Bad;
 }
 
 bool rt::parseSessionArgs(const std::vector<std::string> &Args,
                           SessionOptions &SO, std::string &Err) {
   for (size_t I = 0; I != Args.size(); ++I) {
-    SessionArg R = parseSessionArg(Args, I, SO, Err);
-    if (R == SessionArg::NotSession)
+    FlagArg R = parseSessionArg(Args, I, SO, Err);
+    if (R == FlagArg::NotMine)
       Err = "not a session flag: '" + Args[I] + "'";
-    if (R != SessionArg::Taken)
+    if (R != FlagArg::Taken)
       return false;
   }
   return true;

@@ -25,6 +25,7 @@
 #include "spmd/Interp.h"
 #include "spmd/SpmdProgram.h"
 #include "support/Diag.h"
+#include "support/Flags.h"
 
 #include <memory>
 #include <optional>
@@ -48,27 +49,13 @@ struct SessionOptions {
   spmd::EngineKind Engine = spmd::EngineKind::Auto;
 };
 
-/// Strict decimal integer: the whole of \p S, no overflow.
-bool parseInt(const std::string &S, int64_t &Out);
-
-/// True when \p Arg is \p Prefix followed by a value, stored in \p Out.
-bool flagValue(const std::string &Arg, const std::string &Prefix,
-               std::string &Out);
-
 /// The engine's flag spelling ("auto", "tree", "bytecode", "native").
 const char *engineName(spmd::EngineKind E);
 
-/// What the session parser made of one argument.
-enum class SessionArg {
-  NotSession, ///< not a session flag; the caller handles it
-  Taken,      ///< stored in the options
-  Bad,        ///< a session flag with a malformed value; Err names it
-};
-
 /// Offers Args[I] to the session parser. `-p` takes Args[I+1] as its
 /// value and advances \p I past it.
-SessionArg parseSessionArg(const std::vector<std::string> &Args, size_t &I,
-                           SessionOptions &SO, std::string &Err);
+FlagArg parseSessionArg(const std::vector<std::string> &Args, size_t &I,
+                        SessionOptions &SO, std::string &Err);
 
 /// Parses a list that must hold session flags only (the daemon's run
 /// request). False with \p Err naming the first bad argument.

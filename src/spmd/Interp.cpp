@@ -36,6 +36,17 @@ ArrayStore::ArrayStore(std::vector<int64_t> LoV, std::vector<int64_t> ExtentV,
   Values.assign(N, 0.0);
 }
 
+void ArrayStore::fill(
+    const std::function<double(const std::vector<int64_t> &)> &Init) {
+  // Flat order is dimension 0 fastest (see flatten).
+  std::vector<int64_t> Idx = Lo;
+  for (double &V : Values) {
+    V = Init(Idx);
+    for (unsigned D = 0; D != Idx.size() && ++Idx[D] == Lo[D] + Extent[D]; ++D)
+      Idx[D] = Lo[D];
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Setup
 //===----------------------------------------------------------------------===//
@@ -95,22 +106,7 @@ void Interpreter::setSemantics(int Id, StmtFn Fn) {
 void Interpreter::initArray(
     const std::string &Name,
     const std::function<double(const std::vector<int64_t> &)> &Init) {
-  ArrayStore &A = Arrays.at(Name);
-  std::vector<int64_t> Idx(A.rank());
-  for (unsigned D = 0; D != A.rank(); ++D)
-    Idx[D] = A.lo(D);
-  if (A.size() == 0)
-    return;
-  for (;;) {
-    A.at(A.flatten(Idx)) = Init(Idx);
-    unsigned D = 0;
-    while (D < A.rank() && ++Idx[D] >= A.lo(D) + A.extent(D)) {
-      Idx[D] = A.lo(D);
-      ++D;
-    }
-    if (D == A.rank())
-      break;
-  }
+  Arrays.at(Name).fill(Init);
 }
 
 void Interpreter::setupArrays() {

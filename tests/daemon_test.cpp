@@ -11,7 +11,10 @@
 //     to ONE compile (CompilesStarted +1, Requests +N);
 //   - a daemon-side run renders the same wall-clock-free summary as a
 //     local run of the same program, under every session flag (shape,
-//     engine, parameters), and a bad session is an error reply;
+//     engine, parameters), and a bad session is an error reply marked
+//     as a usage error;
+//   - compile flags travel in the request and are part of its
+//     fingerprint; a malformed flag is an error reply naming it;
 //   - a malformed request draws an error reply and leaves both the
 //     connection and the daemon serving;
 //   - stop() persists the OpCache and a new daemon starts warm from it;
@@ -94,6 +97,41 @@ TEST(DaemonCompile, ByteIdenticalToLocalService) {
   EXPECT_EQ(Remote.Spmd, Local->Spmd);
   EXPECT_EQ(Remote.ProgName, Local->ProgName);
   EXPECT_EQ(Remote.Fingerprint, Local->Fingerprint);
+}
+
+/// Non-default compile flags travel in the request's flags blob: the
+/// daemon compiles what the local service compiles for the same options,
+/// and the options are part of the request identity.
+TEST(DaemonCompile, CompileFlagsTravel) {
+  ScopedDaemon SD;
+  std::string Source = appSource(apps::makeJacobi, 14, 2);
+  CompilerOptions CO;
+  CO.LoopSplitting = false;
+  CO.CombinedFormulation = false;
+  CO.AnalysisThreads = 2;
+
+  CompileRequest R;
+  R.Name = "<flags>";
+  R.Source = Source;
+  R.Opts = CO;
+  R.BypassArtifactCache = true;
+  std::shared_ptr<const CompileArtifact> Local =
+      CompilerService::global().compile(R);
+  ASSERT_TRUE(Local->Ok) << Local->DiagText;
+
+  std::unique_ptr<net::MsgStream> S = SD.connect();
+  DaemonCompileResult Remote =
+      daemonCompile(*S, "<flags>", Source, CO, /*Fresh=*/true);
+  ASSERT_TRUE(Remote.Ok) << Remote.DiagText;
+  EXPECT_EQ(Remote.Spmd, Local->Spmd);
+  EXPECT_EQ(Remote.Fingerprint, Local->Fingerprint);
+
+  DaemonCompileResult Default =
+      daemonCompile(*S, "<flags>", Source, CompilerOptions());
+  ASSERT_TRUE(Default.Ok) << Default.DiagText;
+  EXPECT_NE(Remote.Fingerprint, Default.Fingerprint);
+  // Loop splitting changes the program, so the flags were not dropped.
+  EXPECT_NE(Remote.Spmd, Default.Spmd);
 }
 
 TEST(DaemonCompile, ConcurrentSameFingerprintDedupsToOneCompile) {
@@ -251,8 +289,14 @@ TEST(DaemonRun, BadSessionIsAnErrorReply) {
   SO.Params = {{"BOGUS", 3}};
   DaemonRunResult R = daemonRun(*S, C.Spmd, SO, /*Check=*/true);
   EXPECT_FALSE(R.Ok);
+  EXPECT_TRUE(R.Usage) << "a rejected session is the client's usage error";
   EXPECT_NE(R.Error.find("unknown parameter 'BOGUS'"), std::string::npos)
       << R.Error;
+  // A program that does not parse is no usage error.
+  DaemonRunResult Garbled =
+      daemonRun(*S, "(spmd garbled", SessionOptions(), /*Check=*/true);
+  EXPECT_FALSE(Garbled.Ok);
+  EXPECT_FALSE(Garbled.Usage) << Garbled.Error;
 
   std::string Payload = "blob session 12\n--procs=2,x\n\nblob spmd " +
                         std::to_string(C.Spmd.size()) + "\n" + C.Spmd + "\n";
@@ -262,6 +306,7 @@ TEST(DaemonRun, BadSessionIsAnErrorReply) {
   ASSERT_TRUE(S->recv(Tag, Reply));
   EXPECT_EQ(Tag, uint64_t(MsgOkResp));
   EXPECT_NE(Reply.find("kv ok 0"), std::string::npos) << Reply;
+  EXPECT_NE(Reply.find("kv usage 1"), std::string::npos) << Reply;
   EXPECT_NE(Reply.find("invalid --procs extent 'x'"), std::string::npos)
       << Reply;
 }
@@ -284,6 +329,26 @@ TEST(DaemonFault, MalformedRequestKeepsDaemonServing) {
   DaemonCompileResult R = daemonCompile(
       *S2, "<after>", appSource(apps::makeJacobi, 10, 1), CompilerOptions());
   EXPECT_TRUE(R.Ok) << R.DiagText;
+}
+
+/// The daemon decodes the compile flags with the strict parser: a
+/// malformed flag is an error reply naming it, never a compile with the
+/// option silently at some value, and the daemon keeps serving.
+TEST(DaemonFault, MalformedCompileFlagIsAnErrorReply) {
+  ScopedDaemon SD;
+  std::unique_ptr<net::MsgStream> S = SD.connect();
+  std::string Source = appSource(apps::makeJacobi, 10, 1);
+  S->send(MsgCompileReq, "blob flags 14\n--threads=abc\n\nblob source " +
+                             std::to_string(Source.size()) + "\n" + Source +
+                             "\n");
+  uint64_t Tag = 0;
+  std::string Payload;
+  ASSERT_TRUE(S->recv(Tag, Payload));
+  EXPECT_EQ(Tag, uint64_t(MsgErrResp));
+  EXPECT_NE(Payload.find("invalid --threads value 'abc'"), std::string::npos)
+      << Payload;
+  std::unique_ptr<net::MsgStream> S2 = SD.connect();
+  daemonPing(*S2);
 }
 
 TEST(DaemonPersist, ColdDaemonStartsWarmFromSavedCache) {

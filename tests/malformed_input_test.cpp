@@ -15,7 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/CompilerDriver.h"
+#include "core/Compiler.h"
 #include "hpf/HpfParser.h"
 #include "pset/Relation.h"
 #include "rt/Session.h"
@@ -268,7 +268,7 @@ TEST(MalformedInput, SessionFlags) {
     rt::SessionOptions SO;
     size_t I = 0;
     std::string Err;
-    EXPECT_EQ(rt::parseSessionArg(C.Args, I, SO, Err), rt::SessionArg::Bad)
+    EXPECT_EQ(rt::parseSessionArg(C.Args, I, SO, Err), FlagArg::Bad)
         << C.Args[0];
     EXPECT_NE(Err.find(C.Needle), std::string::npos)
         << C.Args[0] << ": " << Err;
@@ -306,6 +306,70 @@ TEST(MalformedInput, SessionFlagsRoundTrip) {
   EXPECT_EQ(Back.Engine, SO.Engine);
   // Defaults encode to nothing.
   EXPECT_TRUE(rt::encodeSessionArgs(rt::SessionOptions()).empty());
+}
+
+/// The compile-flag parser (dhpfc's and the daemon's) rejects a malformed
+/// flag with a diagnostic naming it, before anything compiles. Parse only:
+/// nothing here builds a thread pool.
+TEST(MalformedInput, CompileFlagsAreStrict) {
+  std::string Above = std::to_string(core::MaxAnalysisThreads + 1);
+  struct FlagCase {
+    std::string Arg;
+    std::string Needle; ///< must appear in the diagnostic
+  };
+  const FlagCase Cases[] = {
+      {"--threads=", "invalid --threads value ''"},
+      {"--threads=x", "invalid --threads value 'x'"},
+      {"--threads=-1", "invalid --threads value '-1'"},
+      {"--threads=" + Above, "invalid --threads value '" + Above + "'"},
+      {"--threads=99999999999999999999", "invalid --threads value"},
+      {"--no-split=1", "--no-split takes no value"},
+      {"--no-combined=0", "--no-combined takes no value"},
+  };
+  for (const FlagCase &C : Cases) {
+    core::CompilerOptions Opts;
+    std::string Err;
+    EXPECT_EQ(core::parseCompileArg(C.Arg, Opts, Err), FlagArg::Bad) << C.Arg;
+    EXPECT_NE(Err.find(C.Needle), std::string::npos) << C.Arg << ": " << Err;
+    // The whole-list form (the daemon's) rejects it the same way, and a
+    // rejected flag leaves the options at their defaults.
+    std::string ListErr;
+    EXPECT_FALSE(core::parseCompileArgs({C.Arg}, Opts, ListErr)) << C.Arg;
+    EXPECT_EQ(ListErr, Err);
+    EXPECT_TRUE(core::encodeCompileArgs(Opts).empty()) << C.Arg;
+  }
+  core::CompilerOptions Opts;
+  std::string Err;
+  EXPECT_FALSE(core::parseCompileArgs({"-p"}, Opts, Err));
+  EXPECT_NE(Err.find("not a compile flag: '-p'"), std::string::npos) << Err;
+  EXPECT_EQ(core::parseCompileArg(
+                "--threads=" + std::to_string(core::MaxAnalysisThreads), Opts,
+                Err),
+            FlagArg::Taken)
+      << Err;
+}
+
+/// encodeCompileArgs writes what parseCompileArgs reads back: the daemon
+/// client and the request fingerprint rely on the round trip.
+TEST(MalformedInput, CompileFlagsRoundTrip) {
+  core::CompilerOptions Opts;
+  Opts.LoopSplitting = false;
+  Opts.Coalescing = false;
+  Opts.InPlaceAnalysis = false;
+  Opts.CombinedFormulation = false;
+  Opts.AnalysisThreads = 3;
+  Opts.DumpAfter = {"comm"}; // local only: never encoded
+  std::vector<std::string> Args = core::encodeCompileArgs(Opts);
+  EXPECT_EQ(Args, (std::vector<std::string>{"--no-split", "--no-coalesce",
+                                            "--no-inplace", "--no-combined",
+                                            "--threads=3"}));
+  core::CompilerOptions Back;
+  std::string Err;
+  ASSERT_TRUE(core::parseCompileArgs(Args, Back, Err)) << Err;
+  EXPECT_EQ(core::encodeCompileArgs(Back), Args);
+  EXPECT_TRUE(Back.DumpAfter.empty());
+  // Defaults encode to nothing.
+  EXPECT_TRUE(core::encodeCompileArgs(core::CompilerOptions()).empty());
 }
 
 } // namespace

@@ -384,6 +384,33 @@ TEST_P(ParallelDeterminism, PoolMatchesSequentialUncached) {
 INSTANTIATE_TEST_SUITE_P(Apps, ParallelDeterminism,
                          ::testing::Values("jacobi", "tomcatv", "gauss"));
 
+/// Compute nests the analysis passes fan out over (SeqLoop bodies in
+/// place, as the pipeline collects them).
+unsigned countNests(const std::vector<hpf::Phase> &Phases) {
+  unsigned N = 0;
+  for (const hpf::Phase &Ph : Phases)
+    N += Ph.K == hpf::Phase::Kind::Nest      ? 1
+         : Ph.K == hpf::Phase::Kind::SeqLoop ? countNests(Ph.Body)
+                                             : 0;
+  return N;
+}
+
+/// The analysis pool is sized by the work: asking for more workers than
+/// there are nests gets one worker per nest, and ThreadsUsed says so.
+TEST(ParallelPool, NeverMoreWorkersThanNests) {
+  AppInstance App = makeTomcatv(10, 2);
+  unsigned K = 0;
+  for (const hpf::Procedure &Proc : App.Prog->procedures())
+    K += countNests(Proc.Phases);
+  ASSERT_GT(K, 1u);
+  ASSERT_LT(K + 6, 16u);
+  CompilerOptions Opts;
+  Opts.AnalysisThreads = K + 6;
+  EXPECT_EQ(compileProgram(*App.Prog, Opts)->ThreadsUsed, K);
+  Opts.AnalysisThreads = 2;
+  EXPECT_EQ(compileProgram(*App.Prog, Opts)->ThreadsUsed, 2u);
+}
+
 /// The cached+parallel compile must still produce numerically correct
 /// programs (the fast paths may restructure sets, so compare semantics by
 /// running the program, not by printing it).

@@ -32,6 +32,7 @@
 #include "rt/Session.h"
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
+#include "support/Flags.h"
 
 #include <cstdint>
 #include <fstream>
@@ -60,7 +61,7 @@ const char Usage[] =
 /// Accepts both `--opt=value` and `--opt value`.
 bool takeValue(const std::vector<std::string> &Args, const std::string &Name,
                size_t &I, std::string &Out) {
-  if (rt::flagValue(Args[I], Name + "=", Out))
+  if (flagValue(Args[I], Name + "=", Out))
     return true;
   if (Args[I] == Name && I + 1 < Args.size()) {
     Out = Args[++I];
@@ -75,14 +76,14 @@ bool parseArgs(const std::vector<std::string> &Args, RtOptions &O,
   for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &Arg = Args[I];
     std::string V;
-    rt::SessionArg SA = rt::parseSessionArg(Args, I, O.Session, Err);
-    if (SA == rt::SessionArg::Bad)
+    FlagArg SA = rt::parseSessionArg(Args, I, O.Session, Err);
+    if (SA == FlagArg::Bad)
       return false;
-    if (SA == rt::SessionArg::Taken)
+    if (SA == FlagArg::Taken)
       continue;
     if (takeValue(Args, "--rank", I, V)) {
       int64_t R;
-      if (!rt::parseInt(V, R) || R < 0 || R > INT32_MAX) {
+      if (!parseInt(V, R) || R < 0 || R > INT32_MAX) {
         Err = "invalid --rank '" + V + "'";
         return false;
       }

@@ -38,13 +38,16 @@
 #include "spmd/KernelCache.h"
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
+#include "support/Flags.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -90,8 +93,12 @@ int usage(const char *Argv0) {
       << "  --no-split           disable loop splitting (Figure 4)\n"
       << "  --no-coalesce        disable communication coalescing\n"
       << "  --no-inplace         disable in-place (contiguity) analysis\n"
+      << "  --no-combined        per-reference comm equations instead of the "
+         "combined\n"
+      << "                       formulation (Section 5)\n"
       << "  --sequential         single-threaded analysis and execution\n"
-      << "  --threads=<n>        analysis worker threads (0 = hardware)\n"
+      << "  --threads=<n>        analysis worker threads, 0.."
+      << core::MaxAnalysisThreads << " (0 = hardware)\n"
       << "  --stats              print compile statistics and phase times\n"
       << "\n"
       << "run options:\n"
@@ -194,14 +201,10 @@ bool writeFile(const std::string &Path, const std::string &Text,
 struct CliOptions {
   std::string Input;
   std::string Output;
-  std::string DumpAfter;
   std::string ExportDir = ".";
+  core::CompilerOptions Compile; ///< compile flags, plus -dump-after
   rt::SessionOptions Session; ///< -p/--procs/--param/--place/--engine/...
-  bool NoSplit = false;
-  bool NoCoalesce = false;
-  bool NoInPlace = false;
   bool Sequential = false;
-  unsigned Threads = 0;
   bool Stats = false;
   bool NoCheck = false;
   std::string KernelCache; ///< --kernel-cache= native cache dir override
@@ -222,18 +225,42 @@ std::vector<std::string> &extraTraceDocs() {
   return Docs;
 }
 
+/// Expands a -dump-after list ("all" or comma-separated pass names) into
+/// pass names. False with \p Err naming the first unknown one.
+bool parseDumpAfter(const std::string &List, std::vector<std::string> &Out,
+                    std::string &Err) {
+  const std::vector<std::string> Passes = core::passNames();
+  std::istringstream In(List);
+  for (std::string Name; std::getline(In, Name, ',');) {
+    if (Name == "all") {
+      Out.insert(Out.end(), Passes.begin(), Passes.end());
+    } else if (std::find(Passes.begin(), Passes.end(), Name) != Passes.end()) {
+      Out.push_back(Name);
+    } else {
+      Err = "unknown pass '" + Name + "' in -dump-after (valid: all";
+      for (const std::string &P : Passes)
+        Err += ", " + P;
+      Err += ")";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Parses everything after the subcommand. Returns false (after printing
 /// the offending option) on a usage error. The session flags go to
-/// rt/Session's parser.
+/// rt/Session's parser, the compile flags to core/Compiler's.
 bool parseArgs(const std::vector<std::string> &Args, CliOptions &O) {
   for (size_t I = 0; I < Args.size(); ++I) {
     std::string Err;
-    rt::SessionArg SA = rt::parseSessionArg(Args, I, O.Session, Err);
-    if (SA == rt::SessionArg::Bad) {
+    FlagArg FA = rt::parseSessionArg(Args, I, O.Session, Err);
+    if (FA == FlagArg::NotMine)
+      FA = core::parseCompileArg(Args[I], O.Compile, Err);
+    if (FA == FlagArg::Bad) {
       std::cerr << "dhpfc: " << Err << "\n";
       return false;
     }
-    if (SA == rt::SessionArg::Taken)
+    if (FA == FlagArg::Taken)
       continue;
     const std::string &A = Args[I];
     std::string V;
@@ -243,25 +270,21 @@ bool parseArgs(const std::vector<std::string> &Args, CliOptions &O) {
         return false;
       }
       (A == "-o" ? O.Output : O.ExportDir) = Args[++I];
-    } else if (rt::flagValue(A, "-dump-after=", V) ||
-               rt::flagValue(A, "--dump-after=", V)) {
-      O.DumpAfter = V;
-    } else if (rt::flagValue(A, "--kernel-cache=", V)) {
-      O.KernelCache = V;
-    } else if (rt::flagValue(A, "--server=", V)) {
-      O.Server = V;
-    } else if (rt::flagValue(A, "--threads=", V)) {
-      int64_t N;
-      if (!rt::parseInt(V, N) || N < 0 || N > 4096) {
-        std::cerr << "dhpfc: invalid thread count '" << V << "'\n";
+    } else if (flagValue(A, "-dump-after=", V) ||
+               flagValue(A, "--dump-after=", V)) {
+      if (!parseDumpAfter(V, O.Compile.DumpAfter, Err)) {
+        std::cerr << "dhpfc: " << Err << "\n";
         return false;
       }
-      O.Threads = static_cast<unsigned>(N);
-    } else if (rt::flagValue(A, "--rt-bin=", V)) {
+    } else if (flagValue(A, "--kernel-cache=", V)) {
+      O.KernelCache = V;
+    } else if (flagValue(A, "--server=", V)) {
+      O.Server = V;
+    } else if (flagValue(A, "--rt-bin=", V)) {
       O.RtBin = V;
-    } else if (rt::flagValue(A, "--hosts=", V)) {
+    } else if (flagValue(A, "--hosts=", V)) {
       O.Hosts = V;
-    } else if (rt::flagValue(A, "--coll=", V)) {
+    } else if (flagValue(A, "--coll=", V)) {
       try {
         coll::parseAlgo(V);
       } catch (const net::TransportError &) {
@@ -270,25 +293,19 @@ bool parseArgs(const std::vector<std::string> &Args, CliOptions &O) {
         return false;
       }
       O.Coll = V;
-    } else if (rt::flagValue(A, "--timeout-ms=", V)) {
+    } else if (flagValue(A, "--timeout-ms=", V)) {
       int64_t N;
-      if (!rt::parseInt(V, N) || N < 1 || N > INT32_MAX) {
+      if (!parseInt(V, N) || N < 1 || N > INT32_MAX) {
         std::cerr << "dhpfc: invalid --timeout-ms '" << V << "'\n";
         return false;
       }
       O.TimeoutMs = static_cast<int>(N);
-    } else if (rt::flagValue(A, "--trace=", V)) {
+    } else if (flagValue(A, "--trace=", V)) {
       O.TracePath = V;
-    } else if (rt::flagValue(A, "--metrics=", V)) {
+    } else if (flagValue(A, "--metrics=", V)) {
       O.MetricsPath = V;
     } else if (A == "--keep-mesh") {
       O.KeepMesh = true;
-    } else if (A == "--no-split") {
-      O.NoSplit = true;
-    } else if (A == "--no-coalesce") {
-      O.NoCoalesce = true;
-    } else if (A == "--no-inplace") {
-      O.NoInPlace = true;
     } else if (A == "--sequential") {
       O.Sequential = true;
     } else if (A == "--stats") {
@@ -305,17 +322,10 @@ bool parseArgs(const std::vector<std::string> &Args, CliOptions &O) {
       return false;
     }
   }
+  // --sequential wins over --threads=, wherever it stands.
+  if (O.Sequential)
+    O.Compile.AnalysisThreads = 1;
   return true;
-}
-
-core::CompilerOptions compilerOptions(const CliOptions &O) {
-  core::CompilerOptions CO;
-  CO.LoopSplitting = !O.NoSplit;
-  CO.Coalescing = !O.NoCoalesce;
-  CO.InPlaceAnalysis = !O.NoInPlace;
-  CO.AnalysisThreads = O.Sequential ? 1 : O.Threads;
-  CO.DumpAfter = O.DumpAfter;
-  return CO;
 }
 
 /// What a compile produced, wherever it ran.
@@ -350,7 +360,7 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
   if (!O.Server.empty())
     return withServer(O, [&](net::MsgStream &S) {
              rt::DaemonCompileResult R =
-                 rt::daemonCompile(S, Path, Text, compilerOptions(O));
+                 rt::daemonCompile(S, Path, Text, O.Compile);
              std::cerr << R.DiagText;
              if (!R.Ok)
                return 1;
@@ -366,10 +376,9 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
   core::CompileRequest R;
   R.Name = Path;
   R.Source = std::move(Text);
-  R.Opts = compilerOptions(O);
-  core::CompileSession Sess =
-      core::CompilerService::global().openSession("dhpfc");
-  std::shared_ptr<const core::CompileArtifact> A = Sess.compile(R);
+  R.Opts = O.Compile;
+  std::shared_ptr<const core::CompileArtifact> A =
+      core::CompilerService::global().compile(R);
   if (!A->DiagText.empty())
     std::cerr << A->DiagText;
   if (!A->Ok)
@@ -690,7 +699,7 @@ int cmdRun(const CliOptions &O) {
       rt::DaemonRunResult R = rt::daemonRun(S, Text, O.Session, !O.NoCheck);
       if (!R.Ok) {
         std::cerr << "dhpfc: daemon run failed: " << R.Error << "\n";
-        return 1;
+        return R.Usage ? 2 : 1; // a rejected session exits as locally
       }
       std::cout << "ran on daemon " << O.Server << ":\n"
                 << R.Summary << "check " << rt::CheckVerdict::Names[R.Check.K]
@@ -826,7 +835,7 @@ int main(int Argc, char **Argv) {
   CliOptions O;
   if (!parseArgs(std::vector<std::string>(Argv + 2, Argv + Argc), O))
     return 2;
-  if (!O.DumpAfter.empty() && !O.Server.empty()) {
+  if (!O.Compile.DumpAfter.empty() && !O.Server.empty()) {
     std::cerr << "dhpfc: -dump-after cannot be combined with --server=: "
                  "the daemon returns no IR dumps\n";
     return 2;

@@ -22,6 +22,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "rt/Daemon.h"
+#include "support/Flags.h"
 
 #include <atomic>
 #include <csignal>
@@ -78,9 +79,9 @@ int main(int Argc, char **Argv) {
   rt::DaemonOptions Opts;
   std::string MetricsPath;
   for (int I = 1; I < Argc; ++I) {
-    if (rt::flagValue(Argv[I], "--socket=", Opts.SocketPath) ||
-        rt::flagValue(Argv[I], "--cache=", Opts.CacheFile) ||
-        rt::flagValue(Argv[I], "--metrics=", MetricsPath))
+    if (flagValue(Argv[I], "--socket=", Opts.SocketPath) ||
+        flagValue(Argv[I], "--cache=", Opts.CacheFile) ||
+        flagValue(Argv[I], "--metrics=", MetricsPath))
       continue;
     if (std::strcmp(Argv[I], "--quiet") == 0) {
       Opts.Quiet = true;
